@@ -1,12 +1,11 @@
 // Command hmc-bench regenerates the evaluation tables and figure series
-// (experiments T1–T17 in DESIGN.md / EXPERIMENTS.md): the litmus verdict
+// (experiments T1–T15 in DESIGN.md / EXPERIMENTS.md): the litmus verdict
 // matrix, the comparisons against the herd-style enumerator and the
 // operational store-buffer explorer, the scaling series, the
 // dependency-revisit ablation, the fence repair matrix, the exploration
 // statistics, the compilation and robustness matrices, the parallel
 // and symmetry-reduction studies, the static-pruning study, the
-// checkpoint/resume study, the instrumentation-overhead study, the
-// sharded-exploration study and the consistency-path study.
+// checkpoint/resume study and the instrumentation-overhead study.
 //
 // It is also the CI regression gate: -json runs a small tracked suite of
 // explorations and writes their deterministic work counters (executions,
@@ -44,7 +43,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hmc-bench", flag.ContinueOnError)
-	runList := fs.String("run", "all", "comma-separated experiment ids (T1..T17) or 'all'")
+	runList := fs.String("run", "all", "comma-separated experiment ids (T1..T15) or 'all'")
 	quick := fs.Bool("quick", false, "shrink parameter sweeps")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonPath := fs.String("json", "", "run the tracked benchmark suite and write its counters as JSON to this file (skips the experiment tables)")

@@ -23,7 +23,7 @@
 //	hmc -resume run.ckpt -checkpoint run.ckpt -test IRIW
 //	hmc -progress -progress-every 500ms -model sc -test IRIW
 //	hmc -trace run.jsonl -model tso -test SB
-//	hmc -shards 4 -stats -model tso -test SB
+//	hmc -workers 2 -stats -model tso -test SB
 //	hmc vet -model tso -foot examples/litmusfile/mp.lit
 //	hmc -repro hmcd-crashes/crash-3f2a91c0aa17-job-000042.json
 //
@@ -37,18 +37,10 @@
 // up exactly where it stopped (same program, model and bounds required)
 // and, on completion, reports the same counts as an uninterrupted run.
 //
-// -shards N splits the frontier across N in-process explorers
-// (internal/shard): each owns a slice of the canonical-state space,
-// forwards graphs it does not own, and idle explorers steal buckets from
-// busy ones. Verdict and counts are identical to -shards 1 — only the
-// wall clock changes. Composes with -checkpoint/-resume (checkpoints are
-// merged, whole-run ones) and -progress; -trace does not compose.
-//
-// -peers http://a:8433,http://b:8433 (with -shards N>1) farms legs to
-// peer hmcd daemons through the same resilience pool hmcd uses: breaker,
-// transient retries, local demotion. A dark peer's legs run locally and
-// the totals are unchanged; -stats prints a per-peer row. -v and -dot do
-// not compose with -peers (witness callbacks cannot cross the wire).
+// -workers N explores independent branches on up to N goroutines over
+// one shared state memo. Verdict and execution counts are identical to
+// -workers 1 — only the wall clock changes — and it composes with
+// -checkpoint/-resume, -progress and -trace.
 //
 // `hmc vet` lints a program without exploring it: the static analysis in
 // internal/analyze reports dead stores, statically-false assertions and
@@ -90,7 +82,6 @@ import (
 	"hmc/internal/obs"
 	"hmc/internal/prog"
 	"hmc/internal/service"
-	"hmc/internal/shard"
 )
 
 // progressOut receives the -progress ticker. Progress is operator
@@ -136,8 +127,6 @@ func run(args []string, out io.Writer) error {
 	progress := fs.Bool("progress", false, "print a live progress ticker to stderr (executions, rate, ETA)")
 	progressEvery := fs.Duration("progress-every", time.Second, "progress ticker cadence (with -progress)")
 	tracePath := fs.String("trace", "", "write a JSONL exploration trace (waves, revisits, prunes, snapshots) to this file")
-	shards := fs.Int("shards", 1, "split the frontier across this many parallel explorers (1 = the classic single-explorer path); totals are identical, wall-clock shrinks with cores")
-	peersFlag := fs.String("peers", "", "comma-separated base URLs of hmcd daemons to farm shard legs to (with -shards N>1); a dark peer's legs run locally, totals unchanged")
 	backendName := fs.String("backend", "dfs", "verdict engine: "+strings.Join(backend.Names(), "|")+" (non-dfs prints a normalized verdict; portfolio races all applicable engines and cross-checks)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -147,35 +136,14 @@ func run(args []string, out io.Writer) error {
 	if (ck.path != "" || ck.resume != "") && *all {
 		return fmt.Errorf("-checkpoint/-resume work on a single model; drop -all")
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards wants a positive count, got %d", *shards)
-	}
-	if *shards > 1 && *tracePath != "" {
-		return fmt.Errorf("-trace records one explorer's event stream; it does not compose with -shards (drop one)")
-	}
-	var peerURLs []string
-	for _, u := range strings.Split(*peersFlag, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			peerURLs = append(peerURLs, u)
-		}
-	}
-	if len(peerURLs) > 0 {
-		if *shards <= 1 {
-			return fmt.Errorf("-peers farms shard legs; it needs -shards N>1")
-		}
-		if *verbose || *dotPath != "" {
-			return fmt.Errorf("-v and -dot need in-process executions; they do not compose with -peers (drop one)")
-		}
-	}
 
 	if *reproPath != "" {
 		return repro(out, *reproPath)
 	}
-	p, source, test, err := loadProgram(fs.Args(), *testName)
+	p, err := loadProgram(fs.Args(), *testName)
 	if err != nil {
 		return err
 	}
-	pc := peerConfig{urls: peerURLs, source: source, test: test}
 	if *showProg {
 		fmt.Fprint(out, p)
 	}
@@ -192,7 +160,7 @@ func run(args []string, out io.Writer) error {
 	if *backendName != "dfs" {
 		// Alternate engines answer through the normalized Verdict, not the
 		// explorer's native result, so the DFS-shaped extras don't compose.
-		if *verbose || *dotPath != "" || *shards > 1 || *tracePath != "" ||
+		if *verbose || *dotPath != "" || *tracePath != "" ||
 			ck.path != "" || ck.resume != "" || ob.progress || *estimate > 0 ||
 			*static || *checkDeps || *races || *live || *robust {
 			return fmt.Errorf("-backend %s prints normalized verdicts; it composes only with -model/-all/-test/-max/-max-events/-mem-budget/-workers/-symm/-timeout/-stats", *backendName)
@@ -234,7 +202,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 	for _, name := range models {
-		if err := check(out, p, name, *verbose, *maxExec, *maxEvents, *memBudget, *dotPath, *workers, *shards, *symm, *static, *checkDeps, *stats, ck, ob, pc, newCtx); err != nil {
+		if err := check(out, p, name, *verbose, *maxExec, *maxEvents, *memBudget, *dotPath, *workers, *symm, *static, *checkDeps, *stats, ck, ob, newCtx); err != nil {
 			return err
 		}
 		if *robust {
@@ -491,19 +459,18 @@ func reproQuarantine(out io.Writer, path string) error {
 	return nil
 }
 
-// loadProgram resolves the program plus its wire identity — the litmus
-// source text or the corpus test name — which peer legs need to rebuild
-// the program on the far side.
-func loadProgram(args []string, testName string) (*prog.Program, string, string, error) {
+// loadProgram resolves the program from a corpus test name or a litmus
+// file ("-" for stdin).
+func loadProgram(args []string, testName string) (*prog.Program, error) {
 	if testName != "" {
 		tc, ok := litmus.ByName(testName)
 		if !ok {
-			return nil, "", "", fmt.Errorf("unknown corpus test %q (see hmc-litmus for the list)", testName)
+			return nil, fmt.Errorf("unknown corpus test %q (see hmc-litmus for the list)", testName)
 		}
-		return tc.P, "", testName, nil
+		return tc.P, nil
 	}
 	if len(args) != 1 {
-		return nil, "", "", fmt.Errorf("want exactly one litmus file (or '-' for stdin), or -test <name>")
+		return nil, fmt.Errorf("want exactly one litmus file (or '-' for stdin), or -test <name>")
 	}
 	var src []byte
 	var err error
@@ -513,13 +480,13 @@ func loadProgram(args []string, testName string) (*prog.Program, string, string,
 		src, err = os.ReadFile(args[0])
 	}
 	if err != nil {
-		return nil, "", "", err
+		return nil, err
 	}
 	p, err := litmus.Parse(string(src))
 	if err != nil {
-		return nil, "", "", err
+		return nil, err
 	}
-	return p, string(src), "", nil
+	return p, nil
 }
 
 // ckptConfig carries the -checkpoint/-resume flags into check.
@@ -534,15 +501,6 @@ type obsConfig struct {
 	progress bool          // live stderr ticker
 	every    time.Duration // ticker cadence
 	trace    string        // JSONL trace path ("" disables)
-}
-
-// peerConfig carries the -peers flag into check: hmcd daemons that serve
-// shard legs, plus the program's wire identity (litmus source or corpus
-// test name) so the peers can rebuild it.
-type peerConfig struct {
-	urls   []string
-	source string
-	test   string
 }
 
 // progressTicker renders one snapshot as a stderr line. The ETA comes
@@ -575,7 +533,7 @@ func writeCheckpointFile(path string, cp *core.Checkpoint) error {
 	return os.Rename(tmp, path)
 }
 
-func check(out io.Writer, p *prog.Program, model string, verbose bool, maxExec, maxEvents int, memBudget int64, dotPath string, workers, shards int, symm, static, checkDeps, stats bool, ck ckptConfig, ob obsConfig, pc peerConfig, newCtx func() (context.Context, context.CancelFunc)) error {
+func check(out io.Writer, p *prog.Program, model string, verbose bool, maxExec, maxEvents int, memBudget int64, dotPath string, workers int, symm, static, checkDeps, stats bool, ck ckptConfig, ob obsConfig, newCtx func() (context.Context, context.CancelFunc)) error {
 	m, err := memmodel.ByName(model)
 	if err != nil {
 		return err
@@ -629,56 +587,17 @@ func check(out io.Writer, p *prog.Program, model string, verbose bool, maxExec, 
 	}
 	var witness *eg.Graph
 	witnessWeak := false
-	if len(pc.urls) == 0 {
-		// Witness capture is an in-process callback; peer legs cannot carry
-		// it (run() already rejects -v/-dot with -peers).
-		opts.OnExecution = func(g *eg.Graph, fsv prog.FinalState) {
-			if verbose {
-				fmt.Fprintf(out, "--- execution (mem=%v)\n%s", fsv.Mem, g.StringNamed(p.LocName))
-			}
-			weak := p.Exists != nil && p.Exists(fsv)
-			if witness == nil || (weak && !witnessWeak) {
-				witness = g.Clone()
-				witnessWeak = weak
-			}
+	opts.OnExecution = func(g *eg.Graph, fsv prog.FinalState) {
+		if verbose {
+			fmt.Fprintf(out, "--- execution (mem=%v)\n%s", fsv.Mem, g.StringNamed(p.LocName))
+		}
+		weak := p.Exists != nil && p.Exists(fsv)
+		if witness == nil || (weak && !witnessWeak) {
+			witness = g.Clone()
+			witnessWeak = weak
 		}
 	}
-	var res *core.Result
-	var steals, retries int
-	var pool *shard.Pool
-	if shards > 1 {
-		so := shard.Options{
-			Shards:  shards,
-			Core:    opts,
-			OnSteal: func() { steals++ },
-			OnRetry: func() { retries++ },
-		}
-		if len(pc.urls) > 0 {
-			pool = shard.NewPool(pc.urls, shard.PoolConfig{})
-			pool.Start()
-			defer pool.Close()
-			so.Runners = pool.Runners()
-			so.Source = pc.source
-			so.Test = pc.test
-			so.PeerStatus = pool.Snapshot
-		}
-		// The coordinator owns checkpointing and progress for the whole
-		// fleet: reroute the flags to its merged-snapshot hooks so the
-		// files and ticker lines look exactly like the single-shard ones.
-		if opts.Checkpoint != nil {
-			so.CheckpointSink = opts.Checkpoint.Sink
-			so.CheckpointEveryExecs = opts.Checkpoint.EveryExecs
-			so.Core.Checkpoint = nil
-		}
-		if opts.Progress != nil {
-			so.OnProgress = opts.Progress.Sink
-			so.ProgressEvery = opts.Progress.Every
-			so.Core.Progress = nil
-		}
-		res, err = shard.Explore(p, so)
-	} else {
-		res, err = core.Explore(p, opts)
-	}
+	res, err := core.Explore(p, opts)
 	if traceFile != nil {
 		cerr := traceFile.Close()
 		switch {
@@ -754,15 +673,6 @@ func check(out io.Writer, p *prog.Program, model string, verbose bool, maxExec, 
 		if static {
 			fmt.Fprintf(out, "  static-pruned: rf=%d co=%d revisit-scans=%d\n",
 				res.StaticPrunedRf, res.StaticPrunedCo, res.StaticPrunedScans)
-		}
-		if shards > 1 {
-			fmt.Fprintf(out, "  shards=%d steals=%d leg-retries=%d\n", shards, steals, retries)
-		}
-		if pool != nil {
-			for _, pr := range pool.Snapshot() {
-				fmt.Fprintf(out, "  peer %s healthy=%v breaker-open=%v legs=%d retries=%d hedges=%d demotions=%d\n",
-					pr.Peer, pr.Healthy, pr.BreakerOpen, pr.Legs, pr.TransientRetries, pr.Hedges, pr.Demotions)
-			}
 		}
 	}
 	if checkDeps {

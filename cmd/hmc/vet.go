@@ -27,7 +27,7 @@ func vet(args []string, out io.Writer) error {
 	if label == "" && len(fs.Args()) == 1 {
 		label = fs.Args()[0]
 	}
-	p, _, _, err := loadProgram(fs.Args(), *testName)
+	p, err := loadProgram(fs.Args(), *testName)
 	if err != nil {
 		// Parse and validation failures are themselves the vet verdict.
 		return fmt.Errorf("vet: %w", err)

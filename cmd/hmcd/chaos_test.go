@@ -128,17 +128,15 @@ func TestRestartResilience(t *testing.T) {
 }
 
 // startDaemon launches bin with the given journal directory on an
-// ephemeral port (plus any extra flags) and returns the process and its
-// resolved address.
-func startDaemon(t *testing.T, bin, journal string, extra ...string) (*exec.Cmd, string) {
+// ephemeral port and returns the process and its resolved address.
+func startDaemon(t *testing.T, bin, journal string) (*exec.Cmd, string) {
 	t.Helper()
-	args := append([]string{
+	cmd := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-journal", journal,
 		"-checkpoint-every", "100",
 		"-crash-dir", filepath.Join(filepath.Dir(journal), "crashes"),
-		"-timeout", "0"}, extra...)
-	cmd := exec.Command(bin, args...)
+		"-timeout", "0")
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
 		t.Fatal(err)

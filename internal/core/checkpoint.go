@@ -101,20 +101,6 @@ type Checkpoint struct {
 	Memo    []string          `json:"memo,omitempty"`
 	Seen    []string          `json:"seen,omitempty"`
 	Pending []json.RawMessage `json:"pending,omitempty"`
-	// Shard records the ownership spec of a sharded leg (Options.Shard),
-	// empty for whole-run checkpoints; it must match the resuming run's
-	// spec. Forwarded carries the graphs this leg constructed but does
-	// not own, tagged with their ownership bucket so the coordinator
-	// (internal/shard) can route them without re-deriving keys.
-	Shard     string        `json:"shard,omitempty"`
-	Forwarded []WireForward `json:"forwarded,omitempty"`
-}
-
-// WireForward is a forwarded graph on the wire: a constructed-but-
-// unexplored graph owned by another shard, with its ownership bucket.
-type WireForward struct {
-	Bucket int             `json:"bucket"`
-	Graph  json.RawMessage `json:"graph"`
 }
 
 // Encode serializes the checkpoint to JSON.
@@ -150,24 +136,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	for i, raw := range cp.Pending {
 		if _, err := decodeWireGraph(raw); err != nil {
 			return nil, fmt.Errorf("core: checkpoint pending graph %d: %w", i, err)
-		}
-	}
-	mod := 0
-	if cp.Shard != "" {
-		spec, err := ParseShardSpec(cp.Shard)
-		if err != nil {
-			return nil, fmt.Errorf("core: bad checkpoint: %w", err)
-		}
-		mod = spec.Mod()
-	} else if len(cp.Forwarded) > 0 {
-		return nil, errors.New("core: bad checkpoint: forwarded graphs without a shard spec")
-	}
-	for i, fw := range cp.Forwarded {
-		if fw.Bucket < 0 || fw.Bucket >= mod {
-			return nil, fmt.Errorf("core: checkpoint forwarded graph %d: bucket %d out of range [0,%d)", i, fw.Bucket, mod)
-		}
-		if _, err := decodeWireGraph(fw.Graph); err != nil {
-			return nil, fmt.Errorf("core: checkpoint forwarded graph %d: %w", i, err)
 		}
 	}
 	if _, err := DecodeErrorReports(cp.Errors); err != nil {
@@ -222,11 +190,6 @@ func decodeWireGraph(raw json.RawMessage) (*eg.Graph, error) {
 	return wg.Decode()
 }
 
-func encodeWireGraph(g *eg.Graph) (json.RawMessage, error) {
-	data, err := json.Marshal(eg.EncodeGraph(g))
-	return json.RawMessage(data), err
-}
-
 // optsSignature renders the Options fields that determine what the saved
 // state *means* — bounds, ablations, reductions, key collection. Workers
 // and MemoryBudget are deliberately absent: parallelism only reorders the
@@ -271,19 +234,6 @@ func (e *explorer) capture(frontier []*eg.Graph) *Checkpoint {
 	sort.Slice(cp.Pending, func(i, j int) bool {
 		return bytes.Compare(cp.Pending[i], cp.Pending[j]) < 0
 	})
-	if e.opts.Shard != nil {
-		cp.Shard = e.opts.Shard.String()
-	}
-	for _, fw := range e.sh.forwarded {
-		data, _ := json.Marshal(eg.EncodeGraph(fw.g))
-		cp.Forwarded = append(cp.Forwarded, WireForward{Bucket: fw.bucket, Graph: data})
-	}
-	sort.Slice(cp.Forwarded, func(i, j int) bool {
-		if cp.Forwarded[i].Bucket != cp.Forwarded[j].Bucket {
-			return cp.Forwarded[i].Bucket < cp.Forwarded[j].Bucket
-		}
-		return bytes.Compare(cp.Forwarded[i].Graph, cp.Forwarded[j].Graph) < 0
-	})
 	return cp
 }
 
@@ -310,13 +260,6 @@ func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
 	if sig := optsSignature(e.opts); cp.Opts != sig {
 		return nil, fmt.Errorf("%w: checkpoint options %q, run wants %q", ErrCheckpointMismatch, cp.Opts, sig)
 	}
-	wantShard := ""
-	if e.opts.Shard != nil {
-		wantShard = e.opts.Shard.String()
-	}
-	if cp.Shard != wantShard {
-		return nil, fmt.Errorf("%w: checkpoint shard %q, run wants %q", ErrCheckpointMismatch, cp.Shard, wantShard)
-	}
 	frontier := make([]*eg.Graph, 0, len(cp.Pending))
 	for i, raw := range cp.Pending {
 		g, err := decodeWireGraph(raw)
@@ -328,29 +271,6 @@ func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
 				ErrCheckpointMismatch, i, g.NumThreads(), g.NumLocs(), len(e.p.Threads), e.p.NumLocs)
 		}
 		frontier = append(frontier, g)
-	}
-	// Forwarded graphs survive the leg boundary: a resumed leg re-emits
-	// any it has not had routed away, so an interrupt between capture and
-	// routing loses nothing (the coordinator strips Forwarded from a
-	// checkpoint exactly when it routes them).
-	forwarded := make([]forwardedGraph, 0, len(cp.Forwarded))
-	mod := 0
-	if e.opts.Shard != nil {
-		mod = e.opts.Shard.Mod()
-	}
-	for i, fw := range cp.Forwarded {
-		g, err := decodeWireGraph(fw.Graph)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint forwarded graph %d: %w", i, err)
-		}
-		if fw.Bucket < 0 || fw.Bucket >= mod {
-			return nil, fmt.Errorf("%w: forwarded graph %d bucket %d out of range [0,%d)", ErrCheckpointMismatch, i, fw.Bucket, mod)
-		}
-		if g.NumThreads() != len(e.p.Threads) || g.NumLocs() != e.p.NumLocs {
-			return nil, fmt.Errorf("%w: forwarded graph %d is %d threads x %d locations, program is %d x %d",
-				ErrCheckpointMismatch, i, g.NumThreads(), g.NumLocs(), len(e.p.Threads), e.p.NumLocs)
-		}
-		forwarded = append(forwarded, forwardedGraph{bucket: fw.Bucket, g: g})
 	}
 	errs, err := DecodeErrorReports(cp.Errors)
 	if err != nil {
@@ -386,7 +306,6 @@ func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
 			sh.seen[k] = true
 		}
 	}
-	sh.forwarded = forwarded
 	return frontier, nil
 }
 

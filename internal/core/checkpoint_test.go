@@ -287,6 +287,22 @@ func TestResumeMismatchRejected(t *testing.T) {
 			t.Errorf("%s: got %v, want ErrCheckpointMismatch", c.name, err)
 		}
 	}
+	// Leg checkpoints of the removed frontier sharding carried an
+	// ownership spec and forwarded graphs; whole-run checkpoints never
+	// did, so the strict decoder refuses them as unknown fields.
+	data, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []string{
+		`"shard":"4:1",`,
+		`"forwarded":[{"bucket":0,"graph":` + string(cp.Pending[0]) + `}],`,
+	} {
+		spliced := append([]byte("{"+leg), data[1:]...)
+		if _, err := DecodeCheckpoint(spliced); err == nil {
+			t.Errorf("leg checkpoint with %.20s... decoded; want it refused", leg)
+		}
+	}
 	// The matching run resumes fine.
 	good, err := Explore(sb, Options{Model: imm, CollectKeys: true, ResumeFrom: cp})
 	if err != nil {

@@ -20,8 +20,11 @@
 // models: events po-after the revisited read that do not syntactically
 // depend on it are *kept*, which is what makes load-buffering executions
 // (rf into the po-past) reachable. Optimality — each consistent execution
-// explored exactly once — comes from the TruSt-style maximality condition
-// on deleted events, validated by the duplicate-free property tests.
+// explored exactly once — comes from the exploration-state memo in visit:
+// graphs are memoized on their canonical key, so a state rebuilt by a
+// second revisit choreography is pruned rather than re-explored. There is
+// no maximality side condition on revisits; the duplicate-free property
+// tests (Stats.Duplicates = 0 under DedupSafeguard) pin the guarantee.
 package core
 
 import (
@@ -81,17 +84,6 @@ type Options struct {
 	MemoryBudget int64
 	// StopOnError aborts exploration at the first assertion failure.
 	StopOnError bool
-	// LegacyChecks routes consistency checking through the reference
-	// path — heap-allocated views and the materialized-union predicates
-	// preserved in memmodel's legacy build — instead of pooled arena
-	// views and incremental acyclicity. Both paths decide the same
-	// predicate, so verdicts, every counter and the checkpoint stream are
-	// identical (pinned by the equivalence tests and the T17 harness
-	// experiment); only wall-clock and allocation differ. A performance
-	// A/B knob, not a semantic option, hence excluded from the
-	// checkpoint options signature.
-	//hmc:transient(both paths decide the same predicate; only wall-clock and allocation change)
-	LegacyChecks bool
 	// DedupSafeguard tracks complete-execution keys and suppresses
 	// duplicates, counting them in Stats.Duplicates. The algorithm is
 	// optimal, so this is a diagnostic: the test suite asserts the count
@@ -200,19 +192,6 @@ type Options struct {
 	// hard-stops on cancellation).
 	//hmc:transient(snapshots observe the run at quiescent points; they never change what is explored)
 	Progress *ProgressOptions
-	// Shard, when non-nil, restricts the run to the states the spec owns:
-	// a graph whose canonical key hashes to a bucket outside the spec is
-	// recorded on the final checkpoint's Forwarded list instead of being
-	// explored. The coordinator in internal/shard routes forwarded graphs
-	// to their owners, partitioning one exploration across N explorers:
-	// every state is expanded by exactly one owner and every constructed
-	// graph memo-checked exactly once (at its owner), so the shards'
-	// counters sum to exactly the single-process run's. A sharded run is
-	// implicitly checkpointable and always ends with a final checkpoint
-	// on Result.Checkpoint (even when its frontier ran to exhaustion);
-	// the spec identity rides Checkpoint.Shard and must match on resume.
-	//hmc:identity(Shard) — checked through the dedicated Checkpoint.Shard field on resume
-	Shard *ShardSpec
 	// Trace, when non-nil, streams structured exploration events —
 	// waves, revisits, static prunes, snapshots — as JSON lines to the
 	// tracer (see internal/obs). Tracing enables the same sampled phase
@@ -311,7 +290,7 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 		sh.sem = make(chan struct{}, opts.Workers-1)
 	}
 	e := &explorer{p: p, opts: opts, sh: sh, static: analyzeIfNeeded(p, opts)}
-	e.ckpt = opts.Checkpoint != nil || opts.ResumeFrom != nil || opts.FailAfter > 0 || opts.Shard != nil
+	e.ckpt = opts.Checkpoint != nil || opts.ResumeFrom != nil || opts.FailAfter > 0
 	e.initObs()
 	if opts.Symmetry {
 		e.perms = symmetryPerms(len(p.Threads), p.SymmetryGroups())
@@ -426,12 +405,6 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 		}
 	}
 	sh.res.Interrupted = sh.interrupted.Load()
-	if opts.Shard != nil && sh.res.Checkpoint == nil && !sh.stop.Load() {
-		// A sharded leg always ends in a checkpoint: the coordinator
-		// needs the final memo and the forwarded graphs even from a leg
-		// that ran its owned frontier to exhaustion.
-		sh.res.Checkpoint = e.capture(sh.takePending())
-	}
 	// The final snapshot: counters now equal the Result's. Delivered for
 	// every run outcome short of an engine error, so a sink always
 	// observes the end of the run.
@@ -507,10 +480,6 @@ type shared struct {
 	stopAfterDrain atomic.Bool
 	faults         atomic.Int64
 	pending        []*eg.Graph // guarded by mu
-	// forwarded collects graphs owned by other shards (Options.Shard),
-	// each tagged with its ownership bucket; they ride the final
-	// checkpoint's Forwarded list. Guarded by mu.
-	forwarded []forwardedGraph
 	// progressReq marks a drain requested (also) for a progress snapshot:
 	// the wave loop emits one at the next quiescent point and clears it.
 	progressReq atomic.Bool
@@ -523,23 +492,6 @@ func (e *explorer) stopped() bool { return e.sh.stop.Load() }
 func (e *explorer) recordPending(g *eg.Graph) {
 	e.sh.mu.Lock()
 	e.sh.pending = append(e.sh.pending, g)
-	e.sh.mu.Unlock()
-}
-
-// forwardedGraph is a constructed graph another shard owns, with its
-// ownership bucket (stable across steals: only the owned set changes
-// between legs, never the bucket count).
-type forwardedGraph struct {
-	bucket int
-	g      *eg.Graph
-}
-
-// recordForwarded saves a graph whose canonical key this shard does not
-// own; the coordinator routes it to the owner.
-func (e *explorer) recordForwarded(key string, g *eg.Graph) {
-	fw := forwardedGraph{bucket: BucketOf(key, e.opts.Shard.Mod()), g: g}
-	e.sh.mu.Lock()
-	e.sh.forwarded = append(e.sh.forwarded, fw)
 	e.sh.mu.Unlock()
 }
 
@@ -643,14 +595,6 @@ func (e *explorer) visit(g *eg.Graph) {
 		}
 	}
 	key := e.key(g)
-	if sp := e.opts.Shard; sp != nil && !sp.Owns(key) {
-		// Another shard owns this state: hand the constructed graph to
-		// the coordinator instead of exploring it. The memo check runs
-		// at the owner — exactly once per arrival — which is what keeps
-		// the merged counters identical to a single-process run.
-		e.recordForwarded(key, g)
-		return
-	}
 	e.sh.mu.Lock()
 	if e.sh.memo[key] {
 		e.sh.res.MemoHits++
@@ -783,14 +727,9 @@ func (e *explorer) consistent(g *eg.Graph) bool {
 	e.sh.res.ConsistencyChecks++
 	e.sh.mu.Unlock()
 	ts := e.tConsist.Start()
-	var ok bool
-	if e.opts.LegacyChecks {
-		ok = memmodel.Legacy(e.opts.Model).Consistent(eg.NewView(g))
-	} else {
-		v := eg.GetView(g)
-		ok = e.opts.Model.Consistent(v)
-		eg.PutView(v)
-	}
+	v := eg.GetView(g)
+	ok := e.opts.Model.Consistent(v)
+	eg.PutView(v)
 	e.tConsist.Stop(ts)
 	return ok
 }

@@ -7,15 +7,14 @@ import (
 
 // This file preserves the reference implementations of the store-buffer
 // family: materialize the union of the axiom's edge sets, then run a full
-// from-scratch Acyclic(). The production predicates in hardware_sb.go now
+// from-scratch Acyclic(). The production predicates in hardware_sb.go
 // stream the same edges into an incrementally maintained DeltaRel; the
-// copies here are the oracle the property tests pin that rewrite against,
-// and the A/B baseline the harness (T17) and the explorer's LegacyChecks
-// option run.
+// copies here are the oracle the random-graph property tests in
+// streaming_test.go pin that rewrite against. A predicate that decides
+// identically on every graph yields an identical exploration, so that
+// equivalence is the whole proof.
 
-// legacyModel wraps a reference predicate under the original model name,
-// so the explorer's counters and memo keys are indistinguishable between
-// paths.
+// legacyModel wraps a reference predicate under the original model name.
 type legacyModel struct {
 	name string
 	fn   func(*eg.View) bool

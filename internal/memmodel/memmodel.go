@@ -52,8 +52,8 @@ func putDelta(d *relation.DeltaRel) { deltaPool.Put(d) }
 // Coherent reports SC-per-location: acyclic(po-loc ∪ rf ∪ co ∪ fr).
 // Every model includes this axiom. The union is never materialized: the
 // edge sets stream into an incremental acyclicity checker that rejects at
-// the first cycle-closing edge (LegacyCoherent keeps the from-scratch
-// formulation).
+// the first cycle-closing edge (the test oracle LegacyCoherent keeps the
+// from-scratch formulation).
 func Coherent(v *eg.View) bool {
 	d := getDelta(v.N)
 	ok := d.AddRelAcyclic(v.Co()) && d.AddRelAcyclic(v.Fr()) &&

@@ -106,8 +106,8 @@ func TestPropStoreBufferPPOMatchesLegacy(t *testing.T) {
 }
 
 // TestLegacyNamesMatch checks Legacy preserves model identity: the wrapped
-// model must report the same name (the explorer's memo keys and counters
-// depend on it), and unrewritten models pass through untouched.
+// model must report the same name, and unrewritten models pass through
+// untouched, so the oracle pairing above covers exactly sc/tso/pso.
 func TestLegacyNamesMatch(t *testing.T) {
 	for _, m := range All() {
 		lm := Legacy(m)

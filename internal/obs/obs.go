@@ -75,55 +75,10 @@ type ProgressSnapshot struct {
 	ETA          time.Duration `json:"eta_ns,omitempty"`
 
 	Phases PhaseTimes `json:"phases"`
-	// Shards, when the run is sharded (internal/shard), breaks the fleet
-	// down per shard; the top-level counters are their sums. Empty for
-	// single-explorer runs.
-	Shards []ShardProgress `json:"shards,omitempty"`
-	// Peers, when the run dispatches legs to peer daemons, reports each
-	// peer's health and resilience counters. Empty for local-only runs.
-	Peers []PeerProgress `json:"peers,omitempty"`
 	// Final marks the last snapshot of a run: the run has stopped
 	// (exhausted, truncated or interrupted) and the counters equal the
 	// Result's.
 	Final bool `json:"final,omitempty"`
-}
-
-// ShardProgress is one shard's slice of a sharded run: who it is, how
-// much frontier it still holds, and how fast its legs have been going.
-type ShardProgress struct {
-	Shard       int     `json:"shard"`
-	Frontier    int     `json:"frontier"`
-	Executions  int     `json:"executions"`
-	ExecsPerSec float64 `json:"execs_per_sec"`
-	Running     bool    `json:"running,omitempty"`
-	// Steals counts times this shard's frontier was split for an idle
-	// peer; Retries counts leg re-runs after a worker death.
-	Steals  int `json:"steals,omitempty"`
-	Retries int `json:"retries,omitempty"`
-}
-
-// PeerProgress is one peer daemon's row in a distributed run's snapshot:
-// probe-derived health, breaker state, and the resilience counters that
-// explain where its legs went.
-type PeerProgress struct {
-	// Peer is the peer's base URL.
-	Peer string `json:"peer"`
-	// Healthy reflects the last active /readyz probe (or passive leg
-	// verdict when probing is off).
-	Healthy bool `json:"healthy"`
-	// BreakerOpen is true while the peer's circuit breaker rejects legs.
-	BreakerOpen bool `json:"breaker_open,omitempty"`
-	// ProbeFailures counts failed active health probes.
-	ProbeFailures int64 `json:"probe_failures,omitempty"`
-	// TransientRetries counts leg attempts re-dispatched to this peer
-	// after a transient transport failure.
-	TransientRetries int64 `json:"transient_retries,omitempty"`
-	// Hedges counts straggler legs raced against a local copy.
-	Hedges int64 `json:"hedges,omitempty"`
-	// Demotions counts legs this peer surrendered to the local fallback.
-	Demotions int64 `json:"demotions,omitempty"`
-	// Legs counts legs this peer completed successfully.
-	Legs int64 `json:"legs,omitempty"`
 }
 
 // Rate returns n per second over elapsed, guarded against zero and

@@ -2,190 +2,14 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"hmc/internal/core"
 	"hmc/internal/faultinject"
 	"hmc/internal/litmus"
 	"hmc/internal/prog"
 )
-
-// chaosSource is the workload for the chaos matrix: 9 writes over 3
-// threads = 9!/(3!·3!·3!) = 1680 interleavings — enough executions to
-// spread across 4 shards and survive several injected faults, small
-// enough for -race.
-const chaosSource = "name chaos-writes\n" +
-	"T0: W x 1 ; W x 2 ; W x 3\n" +
-	"T1: W x 11 ; W x 12 ; W x 13\n" +
-	"T2: W x 21 ; W x 22 ; W x 23\n" +
-	"exists x=3\n"
-
-// chaosCounters extracts the deterministic merged counters of a result —
-// the ones the paper's tables report and sharding must preserve — as
-// bytes, so equivalence is asserted byte-for-byte, not field-by-field.
-func chaosCounters(t *testing.T, r *core.Result) []byte {
-	t.Helper()
-	b, err := json.Marshal(map[string]int64{
-		"executions":         int64(r.Executions),
-		"blocked":            int64(r.Blocked),
-		"exists":             int64(r.ExistsCount),
-		"states":             int64(r.States),
-		"memo_hits":          int64(r.MemoHits),
-		"revisits_tried":     int64(r.RevisitsTried),
-		"revisits_taken":     int64(r.RevisitsTaken),
-		"consistency_checks": int64(r.ConsistencyChecks),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// TestChaosPeersMatrix is the acceptance test for the peer resilience
-// layer: a 4-shard job farmed to two peer daemons through the committed
-// hostile fault plan (testdata/chaos-plan.json: 30% request drops,
-// latency spikes, 5xx bursts, corrupted response bodies, one journal
-// fsync error) must complete with merged counters byte-identical to a
-// fault-free single-process run — zero legs lost — and the degradation
-// path must be visible in the metrics.
-func TestChaosPeersMatrix(t *testing.T) {
-	plan, err := faultinject.LoadPlan("testdata/chaos-plan.json")
-	if err != nil {
-		t.Fatalf("committed chaos plan: %v", err)
-	}
-	p, err := litmus.Parse(chaosSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Fault-free single-process baseline.
-	base := mustNew(t, Config{Workers: 1, CacheSize: -1})
-	defer base.Shutdown(context.Background())
-	bv, err := base.Submit(SubmitRequest{Program: p, Model: "sc", Source: chaosSource})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bv = waitState(t, base, bv.ID); bv.State != StateDone || bv.Result == nil {
-		t.Fatalf("baseline job: state=%s err=%q", bv.State, bv.Err)
-	}
-
-	// Two healthy peer daemons; every injected fault lives on the
-	// coordinator's side of the wire (its transport, its journal).
-	peer1 := mustNew(t, Config{Workers: 2})
-	defer peer1.Shutdown(context.Background())
-	ts1 := httptest.NewServer(peer1.Handler())
-	t.Cleanup(ts1.Close)
-	peer2 := mustNew(t, Config{Workers: 2})
-	defer peer2.Shutdown(context.Background())
-	ts2 := httptest.NewServer(peer2.Handler())
-	t.Cleanup(ts2.Close)
-
-	coord := mustNew(t, Config{
-		Workers:        1,
-		CacheSize:      -1,
-		JournalDir:     t.TempDir(),
-		Peers:          []string{ts1.URL, ts2.URL},
-		PeerProbeEvery: -1, // passive health only: keeps transport ordinals leg-driven
-		ProgressEvery:  10 * time.Millisecond,
-		ChaosPlan:      plan,
-	})
-	defer coord.Shutdown(context.Background())
-
-	cv, err := coord.Submit(SubmitRequest{Program: p, Model: "sc", Source: chaosSource, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cv = waitState(t, coord, cv.ID); cv.State != StateDone || cv.Result == nil {
-		t.Fatalf("chaos job: state=%s err=%q", cv.State, cv.Err)
-	}
-
-	want, got := chaosCounters(t, bv.Result), chaosCounters(t, cv.Result)
-	if string(want) != string(got) {
-		t.Errorf("merged counters diverged under faults:\nbaseline: %s\nchaos:    %s", want, got)
-	}
-	if !cv.Result.Exhaustive() {
-		t.Error("chaos run did not explore exhaustively — a leg was lost")
-	}
-
-	m := coord.Metrics()
-	// The plan corrupts the first six transport responses, so at least one
-	// peer leg must have taken the transient-retry rung of the ladder.
-	if m.PeerTransientRetries.Load() == 0 {
-		t.Error("hmcd_peer_transient_retries_total = 0 under a corrupting 30-percent-drop plan")
-	}
-	// sync_err_at [2] lands on the job's submit record (ordinals are
-	// 1-based; 1 is the open-time snapshot): the journal must have
-	// survived it, degraded and counted.
-	if m.JournalWriteErrors.Load() == 0 {
-		t.Error("hmcd_journal_write_errors_total = 0, want the injected fsync failure counted")
-	}
-	t.Logf("degradation ladder: retries=%d hedges=%d demotions=%d journal-write-errors=%d",
-		m.PeerTransientRetries.Load(), m.ShardLegHedges.Load(),
-		m.PeerDemotions.Load(), m.JournalWriteErrors.Load())
-
-	// The final progress snapshot carries a row per peer.
-	if cv.Progress == nil {
-		t.Fatal("sharded job finished without a progress snapshot")
-	}
-	if len(cv.Progress.Peers) != 2 {
-		t.Fatalf("final snapshot has %d peer rows, want 2: %+v", len(cv.Progress.Peers), cv.Progress.Peers)
-	}
-}
-
-// TestChaosAllPeersDark: the same sharded run with every peer
-// unreachable completes fully locally with identical counters, counts
-// its demotions, and says so on the job.
-func TestChaosAllPeersDark(t *testing.T) {
-	p, err := litmus.Parse(chaosSource)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := mustNew(t, Config{Workers: 1, CacheSize: -1})
-	defer base.Shutdown(context.Background())
-	bv, err := base.Submit(SubmitRequest{Program: p, Model: "sc", Source: chaosSource})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bv = waitState(t, base, bv.ID)
-
-	// A closed listener: connections are refused instantly.
-	dead := httptest.NewServer(nil)
-	dead.Close()
-
-	s := mustNew(t, Config{
-		Workers:        1,
-		CacheSize:      -1,
-		Peers:          []string{dead.URL},
-		PeerProbeEvery: -1,
-	})
-	defer s.Shutdown(context.Background())
-	v, err := s.Submit(SubmitRequest{Program: p, Model: "sc", Source: chaosSource, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v = waitState(t, s, v.ID); v.State != StateDone || v.Result == nil {
-		t.Fatalf("all-dark job: state=%s err=%q", v.State, v.Err)
-	}
-	if string(chaosCounters(t, bv.Result)) != string(chaosCounters(t, v.Result)) {
-		t.Error("all-dark counters diverged from the single-process baseline")
-	}
-	if s.Metrics().PeerDemotions.Load() == 0 {
-		t.Error("hmcd_peer_demotions_total = 0 with every peer dark")
-	}
-	found := false
-	for _, d := range v.Diagnostics {
-		if strings.HasPrefix(d, "degraded:") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("job diagnostics do not mention the all-peers-dark degradation: %q", v.Diagnostics)
-	}
-}
 
 // TestJournalDegradedRecovery exercises the journal's degraded mode at
 // the file boundary: an injected ENOSPC on one append flips the journal

@@ -13,7 +13,6 @@ import (
 	"hmc/internal/memmodel"
 	"hmc/internal/obs"
 	"hmc/internal/prog"
-	"hmc/internal/shard"
 )
 
 // maxSubmitBytes bounds a submission body; litmus tests are tiny, and the
@@ -32,7 +31,6 @@ type submitJSON struct {
 	MemoryBudget  int64  `json:"memory_budget,omitempty"`
 	Workers       int    `json:"workers,omitempty"`
 	Symmetry      bool   `json:"symmetry,omitempty"`
-	Shards        int    `json:"shards,omitempty"`
 	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
 }
 
@@ -208,8 +206,6 @@ func toJobJSON(v JobView) jobJSON {
 //	GET    /v1/jobs/{id}          poll one job
 //	GET    /v1/jobs/{id}/progress long-poll live progress (?seq=N&wait=5s)
 //	DELETE /v1/jobs/{id}          cancel a queued or running job
-//	POST   /v1/shards             execute one shard leg for a peer coordinator
-//	GET    /v1/shards             peer-leg counters (active, served)
 //	GET    /v1/models             available memory models
 //	GET    /v1/tests              built-in corpus test names
 //	GET    /healthz               liveness probe (200 while the process serves)
@@ -222,8 +218,6 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /v1/shards", s.handleShardLeg)
-	mux.HandleFunc("GET /v1/shards", s.handleShardStatus)
 	mux.HandleFunc("GET /v1/models", s.handleModels)
 	mux.HandleFunc("GET /v1/tests", s.handleTests)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -299,7 +293,6 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		MemoryBudget:  req.MemoryBudget,
 		Workers:       req.Workers,
 		Symmetry:      req.Symmetry,
-		Shards:        req.Shards,
 		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
 		Source:        req.Source,
 		Test:          req.Test,
@@ -404,86 +397,6 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"canceled": canceled, "job": toJobJSON(view)})
 }
 
-// maxLegBytes bounds a /v1/shards request body: a leg checkpoint scales
-// with the frontier and memo of a big exploration, so the bound is generous
-// (it matches what HTTPPeer will read back).
-const maxLegBytes = 256 << 20
-
-// handleShardLeg serves POST /v1/shards — the peer side of distributed
-// sharded exploration. The request is a shard.LegWire: the program (litmus
-// source or corpus name), the run's semantic options, and the shard's
-// checkpoint + ownership spec. The leg runs to exhaustion of its owned
-// frontier (or until the client disconnects, which cancels it) and the
-// response carries the leg's final checkpoint. Legs are not jobs: they
-// bypass the queue, cache and journal — the coordinating daemon owns the
-// job record, its durability and exactly-once accounting.
-func (s *Service) handleShardLeg(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		w.Header().Set("Retry-After", "1")
-		s.writeError(w, http.StatusServiceUnavailable, ErrDraining)
-		return
-	}
-	var lw shard.LegWire
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxLegBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&lw); err != nil {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad leg body: %w", err))
-		return
-	}
-	var p *prog.Program
-	switch {
-	case lw.Source != "" && lw.Test != "":
-		s.writeError(w, http.StatusBadRequest, errors.New(`give "source" or "test", not both`))
-		return
-	case lw.Source != "":
-		var err error
-		if p, err = litmus.Parse(lw.Source); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("parse: %w", err))
-			return
-		}
-	case lw.Test != "":
-		tc, ok := litmus.ByName(lw.Test)
-		if !ok {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown corpus test %q", lw.Test))
-			return
-		}
-		p = tc.P
-	default:
-		s.writeError(w, http.StatusBadRequest, errors.New(`leg needs a "source" litmus test or a corpus "test" name`))
-		return
-	}
-	s.metrics.ShardLegsActive.Add(1)
-	s.metrics.ShardLegsServed.Add(1)
-	cp, err := shard.ExecuteLeg(r.Context(), &lw, p)
-	s.metrics.ShardLegsActive.Add(-1)
-	if err != nil {
-		// The coordinator treats any failure identically (re-run the leg
-		// from its input checkpoint), so a plain 400 with the reason is
-		// enough; no partial state escapes a failed leg.
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	data, err := cp.Encode()
-	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, shard.LegResponse{Checkpoint: data})
-}
-
-// handleShardStatus reports the peer-leg counters — a cheap way for an
-// operator (or the chaos tests) to see whether this daemon is serving
-// remote coordinators.
-func (s *Service) handleShardStatus(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"active": s.metrics.ShardLegsActive.Load(),
-		"served": s.metrics.ShardLegsServed.Load(),
-	})
-}
-
 func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{"models": memmodel.Names()})
 }
@@ -531,5 +444,5 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.writePrometheus(w, s.QueueDepth(), s.cache.len(), s.cache.capacity(), s.CrashArtifacts(), s.Ready(), s.PeerStatus())
+	s.metrics.writePrometheus(w, s.QueueDepth(), s.cache.len(), s.cache.capacity(), s.CrashArtifacts(), s.Ready())
 }

@@ -267,6 +267,7 @@ func TestHTTPSubmitErrors(t *testing.T) {
 	}{
 		{"bad json", `{`},
 		{"unknown field", `{"prgoram": "x"}`},
+		{"removed shards field", `{"test": "SB", "model": "sc", "shards": 4}`},
 		{"no program", `{"model": "sc"}`},
 		{"both source and test", `{"source": "T0: W x 1", "test": "SB"}`},
 		{"unknown test", `{"test": "definitely-not-a-test"}`},

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -253,6 +254,43 @@ func TestServiceResumesAfterKill(t *testing.T) {
 	defer s3.Shutdown(context.Background())
 	if got := s3.Metrics().JournalReplayedJobs.Load(); got != 0 {
 		t.Fatalf("third start replayed %d jobs, want 0", got)
+	}
+}
+
+// TestJournalReplaysOldShardsRecord: a submit record journaled by an
+// older daemon that still accepted a "shards" count replays as a plain
+// job — journal records decode leniently — and finishes with the straight
+// run's totals.
+func TestJournalReplaysOldShardsRecord(t *testing.T) {
+	dir := t.TempDir()
+	rec := fmt.Sprintf(`{"type":"submit","schema":%d,"id":"job-000001","test":"SB","model":"tso","shards":4}`+"\n", core.SchemaVersion)
+	if err := os.WriteFile(filepath.Join(dir, "journal-000000001.jsonl"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, Config{Workers: 1, JournalDir: dir})
+	defer s.Shutdown(context.Background())
+	deadline := time.Now().Add(30 * time.Second)
+	for !s.Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("service never became ready")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Metrics().JournalReplayedJobs.Load(); got != 1 {
+		t.Fatalf("JournalReplayedJobs = %d, want 1", got)
+	}
+	done := waitState(t, s, "job-000001")
+	if done.State != StateDone || done.Result == nil {
+		t.Fatalf("replayed job finished %s (%s), want done with a result", done.State, done.Err)
+	}
+	straight, err := core.Explore(mustTest(t, "SB"), core.Options{Model: memmodel.TSO{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := done.Result.Stats, straight.Stats
+	got.Errors, want.Errors = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed totals diverge from the straight run:\nreplayed: %+v\nstraight: %+v", got, want)
 	}
 }
 

@@ -34,24 +34,6 @@ type Metrics struct {
 	JobsRetried     atomic.Int64 // re-runs after a memory-budget truncation
 	BreakerRejected atomic.Int64 // submissions refused by the circuit breaker
 
-	// Sharded-exploration counters (internal/shard): legs running across
-	// all sharded jobs (gauge), completed work-steals, leg re-runs after a
-	// worker death, and peer legs served through POST /v1/shards (gauge of
-	// in-flight ones plus a lifetime total).
-	ShardsActive    atomic.Int64
-	ShardSteals     atomic.Int64
-	ShardRetries    atomic.Int64
-	ShardLegsActive atomic.Int64
-	ShardLegsServed atomic.Int64
-
-	// Peer-resilience counters (internal/shard pool): failed /readyz
-	// probes, transient-error retries before demotion, hedged straggler
-	// legs, and legs demoted to local execution.
-	PeerProbeFailures    atomic.Int64
-	PeerTransientRetries atomic.Int64
-	ShardLegHedges       atomic.Int64
-	PeerDemotions        atomic.Int64
-
 	// Portfolio counters (internal/backend): backend runs launched in
 	// races, races won, runs cut off by deadline or grace cancellation,
 	// confirmed cross-backend disagreements, jobs quarantined by one, and
@@ -98,9 +80,8 @@ type Metrics struct {
 	ConsistencyCheckSeconds histogram
 
 	// backendLat is the per-backend portfolio run-latency distribution,
-	// keyed by backend name and rendered with a backend label (like the
-	// per-peer health gauges). Guarded by backendLatMu; histograms are
-	// created on first observation.
+	// keyed by backend name and rendered with a backend label. Guarded by
+	// backendLatMu; histograms are created on first observation.
 	backendLatMu sync.Mutex
 	backendLat   map[string]*histogram
 
@@ -248,10 +229,8 @@ func (m *Metrics) CacheHitRate() float64 {
 
 // writePrometheus renders the counters in the Prometheus text exposition
 // format (version 0.0.4), stdlib only. queueDepth, cacheEntries, cacheCap
-// and crashResident are point-in-time gauges supplied by the service;
-// peers carries the peer pool's per-peer health snapshot (nil when the
-// run is single-process).
-func (m *Metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries, cacheCap, crashResident int, ready bool, peers []obs.PeerProgress) {
+// and crashResident are point-in-time gauges supplied by the service.
+func (m *Metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries, cacheCap, crashResident int, ready bool) {
 	m.ensureHistograms()
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
@@ -284,34 +263,7 @@ func (m *Metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries, cacheCa
 	counter("hmcd_jobs_quarantined_total", "Jobs failed with a quarantined cross-backend disagreement.", m.JobsQuarantined.Load())
 	counter("hmcd_quarantine_artifacts_total", "Disagreement repro artifacts written.", m.QuarantineArtifacts.Load())
 	m.writeBackendLatencies(w)
-	gaugeI("hmcd_shards_active", "Shard legs currently running across all sharded jobs.", m.ShardsActive.Load())
-	counter("hmcd_shard_steals_total", "Work-steals completed (frontier buckets moved to an idle shard).", m.ShardSteals.Load())
-	counter("hmcd_shard_retries_total", "Shard legs re-run after a worker death or peer failure.", m.ShardRetries.Load())
-	gaugeI("hmcd_shard_legs_active", "Peer shard legs currently executing for remote coordinators.", m.ShardLegsActive.Load())
-	counter("hmcd_shard_legs_served_total", "Peer shard legs served through /v1/shards.", m.ShardLegsServed.Load())
-	counter("hmcd_peer_probe_failures_total", "Failed active /readyz probes against peers.", m.PeerProbeFailures.Load())
-	counter("hmcd_peer_transient_retries_total", "Peer legs retried after a transient transport error.", m.PeerTransientRetries.Load())
-	counter("hmcd_shard_leg_hedges_total", "Straggling peer legs hedged with a local copy.", m.ShardLegHedges.Load())
-	counter("hmcd_peer_demotions_total", "Peer legs demoted to local execution.", m.PeerDemotions.Load())
 	counter("hmcd_journal_write_errors_total", "Journal write or fsync failures survived in degraded mode.", m.JournalWriteErrors.Load())
-	if len(peers) > 0 {
-		fmt.Fprintf(w, "# HELP hmcd_peer_healthy 1 while the peer answers its /readyz probes.\n# TYPE hmcd_peer_healthy gauge\n")
-		for _, p := range peers {
-			v := 0
-			if p.Healthy {
-				v = 1
-			}
-			fmt.Fprintf(w, "hmcd_peer_healthy{peer=%q} %d\n", p.Peer, v)
-		}
-		fmt.Fprintf(w, "# HELP hmcd_peer_breaker_open 1 while the peer's circuit breaker is open.\n# TYPE hmcd_peer_breaker_open gauge\n")
-		for _, p := range peers {
-			v := 0
-			if p.BreakerOpen {
-				v = 1
-			}
-			fmt.Fprintf(w, "hmcd_peer_breaker_open{peer=%q} %d\n", p.Peer, v)
-		}
-	}
 	counter("hmcd_journal_replayed_jobs_total", "Incomplete jobs re-enqueued from the journal on startup.", m.JournalReplayedJobs.Load())
 	counter("hmcd_journal_checkpoints_total", "Periodic exploration checkpoints journaled.", m.JournalCheckpoints.Load())
 	counter("hmcd_journal_skipped_records_total", "Torn or wrong-schema journal records dropped on replay.", m.JournalSkippedRecords.Load())

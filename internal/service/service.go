@@ -21,7 +21,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,7 +33,6 @@ import (
 	"hmc/internal/memmodel"
 	"hmc/internal/obs"
 	"hmc/internal/prog"
-	"hmc/internal/shard"
 )
 
 // Config sizes the service. Zero values select the defaults.
@@ -101,35 +99,15 @@ type Config struct {
 	// Snapshots ride the explorer's drain barrier, so the overhead is one
 	// wave pause per cadence (EXPERIMENTS.md T15 bounds it at <5%).
 	ProgressEvery time.Duration
-	// Peers are base URLs of peer hmcd daemons (e.g. "http://host:8433")
-	// that sharded jobs may farm legs to through POST /v1/shards. Shard 0
-	// always runs locally; further shards round-robin over local + peers.
-	// Empty means sharded jobs run all their legs in-process. Peer legs
-	// run through a resilience pool: active /readyz probes, per-peer
-	// circuit breakers, bounded transient retries, optional hedging, and
-	// local demotion as the last rung — a dark peer never loses a leg.
-	Peers []string
-	// PeerProbeEvery is the cadence of active /readyz probes against each
-	// peer (default 5s; negative disables active probing — peers are then
-	// judged passively from leg outcomes).
-	PeerProbeEvery time.Duration
-	// PeerTimeout, when >0, is the per-attempt deadline for one peer leg;
-	// an overrun counts as a transient failure (retried, then demoted).
-	PeerTimeout time.Duration
-	// PeerHedgeAfter, when >0, races a local copy of any peer leg still
-	// unfinished after this long; the first finisher wins and the loser is
-	// cancelled. Totals stay byte-identical either way.
-	PeerHedgeAfter time.Duration
 	// ChaosPlan, when non-nil, threads a deterministic fault-injection
-	// plan (internal/faultinject) through the peer HTTP transport and the
-	// journal file — the dev-only harness behind `hmcd -chaos-plan`. Never
-	// set in production.
+	// plan (internal/faultinject) through the journal file — the dev-only
+	// harness behind `hmcd -chaos-plan`. Never set in production.
 	ChaosPlan *faultinject.Plan
 	// Portfolio races every applicable backend (internal/backend) on each
-	// unsharded, non-resumed job and cross-attests the verdicts. The DFS
-	// anchor still produces the served result — behavior is identical to
-	// the single-engine path — but a confirmed disagreement quarantines
-	// the job instead of serving either answer.
+	// non-resumed job and cross-attests the verdicts. The DFS anchor still
+	// produces the served result — behavior is identical to the
+	// single-engine path — but a confirmed disagreement quarantines the
+	// job instead of serving either answer.
 	Portfolio bool
 	// PortfolioBackendTimeout is the per-run deadline for the non-anchor
 	// backends (default 30s; the anchor is bounded only by the job).
@@ -230,11 +208,6 @@ type SubmitRequest struct {
 	MemoryBudget  int64
 	Workers       int
 	Symmetry      bool
-	// Shards splits the exploration across this many explorers
-	// (internal/shard) with work-stealing and exactly-once leg retries;
-	// the merged totals are identical to a single-explorer run. 0 or 1 is
-	// the legacy single-explorer path. Capped at MaxShards.
-	Shards int
 	// Timeout is the job's wall-clock budget (0: Config.DefaultTimeout).
 	// A job that exceeds it completes with a partial, Interrupted result.
 	Timeout time.Duration
@@ -382,7 +355,6 @@ type Service struct {
 	metrics Metrics
 	crashes *crashStore // nil when artifact capture is disabled
 	journal *journal    // nil when Config.JournalDir is empty
-	pool    *shard.Pool // nil when Config.Peers is empty
 
 	// quarantines stores disagreement artifacts (nil when capture is
 	// disabled); alternates are the non-anchor portfolio backends — nil
@@ -435,24 +407,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.Portfolio && cfg.MaxQuarantineArtifacts > 0 {
 		s.quarantines = &crashStore{dir: cfg.QuarantineDir, max: cfg.MaxQuarantineArtifacts}
-	}
-	if len(cfg.Peers) > 0 {
-		pc := shard.PoolConfig{
-			ProbeEvery: cfg.PeerProbeEvery,
-			LegTimeout: cfg.PeerTimeout,
-			HedgeAfter: cfg.PeerHedgeAfter,
-			Observer: shard.PoolObserver{
-				OnProbeFailure:   func() { s.metrics.PeerProbeFailures.Add(1) },
-				OnTransientRetry: func() { s.metrics.PeerTransientRetries.Add(1) },
-				OnHedge:          func() { s.metrics.ShardLegHedges.Add(1) },
-				OnDemotion:       func() { s.metrics.PeerDemotions.Add(1) },
-			},
-		}
-		if cfg.ChaosPlan != nil && cfg.ChaosPlan.HTTP != nil {
-			pc.Client = &http.Client{Transport: faultinject.NewTransport(nil, cfg.ChaosPlan, nil)}
-		}
-		s.pool = shard.NewPool(cfg.Peers, pc)
-		s.pool.Start()
 	}
 	var replay []*journalJob
 	if cfg.JournalDir != "" {
@@ -512,7 +466,6 @@ func (s *Service) replayJob(jj *journalJob) {
 		MemoryBudget:  rec.MemoryBudget,
 		Workers:       rec.Workers,
 		Symmetry:      rec.Symmetry,
-		Shards:        rec.Shards,
 		Timeout:       time.Duration(rec.TimeoutMS) * time.Millisecond,
 		Source:        rec.Source,
 		Test:          rec.Test,
@@ -622,26 +575,6 @@ func (s *Service) safeRunJob(j *Job) {
 	s.runJob(j)
 }
 
-// shardRunners builds the leg runners for one sharded job: shard 0 is
-// always local, further shards round-robin over local + configured peers,
-// each peer behind the resilience pool (breaker, retries, hedging, local
-// demotion).
-func (s *Service) shardRunners() []shard.Runner {
-	if s.pool == nil {
-		return []shard.Runner{shard.Local{}}
-	}
-	return s.pool.Runners()
-}
-
-// PeerStatus snapshots the peer pool's per-peer health for /metrics and
-// progress rows; nil when the service has no peers.
-func (s *Service) PeerStatus() []obs.PeerProgress {
-	if s.pool == nil {
-		return nil
-	}
-	return s.pool.Snapshot()
-}
-
 // Metrics exposes the counters (for tests and embedding servers).
 func (s *Service) Metrics() *Metrics { return &s.metrics }
 
@@ -652,25 +585,14 @@ func (s *Service) Config() Config { return s.cfg }
 // QueueDepth reports the jobs currently waiting.
 func (s *Service) QueueDepth() int { return len(s.queue) }
 
-// MaxShards bounds SubmitRequest.Shards: past this, coordination overhead
-// dwarfs any parallelism a litmus-sized job can expose.
-const MaxShards = 64
-
 // cacheKey builds the verdict-cache key: everything that determines the
 // result, nothing that only determines how fast it is computed (Workers)
 // or what a client called the program (the fingerprint ignores names).
 // MemoryBudget is deliberately excluded: a memory-truncated result is
 // transient and never cached (see runJob), and an untruncated run under a
-// budget equals the unbudgeted run. Shards is excluded on the unbounded
-// path for the same reason — merged totals are identical by construction —
-// but included when MaxExecutions is set, because that bound applies per
-// shard and changes which prefix of the space a truncated run covers.
+// budget equals the unbudgeted run.
 func cacheKey(fp string, req SubmitRequest) string {
-	k := fmt.Sprintf("%s|%s|max=%d|maxev=%d|symm=%v", fp, req.Model, req.MaxExecutions, req.MaxEvents, req.Symmetry)
-	if req.MaxExecutions > 0 && req.Shards > 1 {
-		k += fmt.Sprintf("|shards=%d", req.Shards)
-	}
-	return k
+	return fmt.Sprintf("%s|%s|max=%d|maxev=%d|symm=%v", fp, req.Model, req.MaxExecutions, req.MaxEvents, req.Symmetry)
 }
 
 // Submit validates req, answers it from the verdict cache when possible,
@@ -686,9 +608,6 @@ func (s *Service) Submit(req SubmitRequest) (JobView, error) {
 	}
 	if err := req.Program.Validate(); err != nil {
 		return JobView{}, err
-	}
-	if req.Shards < 0 || req.Shards > MaxShards {
-		return JobView{}, fmt.Errorf("service: shards %d out of range [0, %d]", req.Shards, MaxShards)
 	}
 	if req.Timeout <= 0 {
 		req.Timeout = s.cfg.DefaultTimeout
@@ -862,10 +781,7 @@ func (s *Service) runJob(j *Job) {
 		}
 	}
 
-	// explore runs one attempt: the legacy single explorer, or — when the
-	// submission asked for shards — the internal/shard coordinator, with
-	// journal durability and progress rerouted through its own hooks
-	// (core's Checkpoint/Progress options are coordinator-owned there).
+	// explore runs one attempt.
 	explore := func(ctx context.Context) (*core.Result, error) {
 		copts := core.Options{
 			Model:         j.model,
@@ -876,47 +792,16 @@ func (s *Service) runJob(j *Job) {
 			Workers:       j.req.Workers,
 			Symmetry:      j.req.Symmetry,
 			ResumeFrom:    j.resumeFrom,
+			Checkpoint:    ckptOpts,
+			Progress:      progOpts,
 		}
-		if j.req.Shards <= 1 {
-			copts.Checkpoint = ckptOpts
-			copts.Progress = progOpts
-			// The portfolio covers plain one-explorer runs; a job resuming
-			// from a checkpoint (journal replay, memory-budget retry) covers
-			// a prefix no other engine can reproduce, so it runs legacy.
-			if s.cfg.Portfolio && j.resumeFrom == nil {
-				return s.explorePortfolio(ctx, j, copts)
-			}
-			return core.Explore(j.req.Program, copts)
+		// The portfolio covers plain one-explorer runs; a job resuming
+		// from a checkpoint (journal replay, memory-budget retry) covers a
+		// prefix no other engine can reproduce, so it runs the DFS alone.
+		if s.cfg.Portfolio && j.resumeFrom == nil {
+			return s.explorePortfolio(ctx, j, copts)
 		}
-		so := shard.Options{
-			Shards:  j.req.Shards,
-			Core:    copts,
-			Source:  j.req.Source,
-			Test:    j.req.Test,
-			Runners: s.shardRunners(),
-			OnSteal: func() { s.metrics.ShardSteals.Add(1) },
-			OnRetry: func() { s.metrics.ShardRetries.Add(1) },
-		}
-		if s.pool != nil {
-			so.PeerStatus = s.pool.Snapshot
-		}
-		// The coordinator reports its own active-leg count from its event
-		// loop (single-threaded per job); the service gauge sums the deltas
-		// across jobs, and every run ends back at zero.
-		prev := 0
-		so.OnActive = func(active int) {
-			s.metrics.ShardsActive.Add(int64(active - prev))
-			prev = active
-		}
-		if ckptOpts != nil {
-			so.CheckpointSink = ckptOpts.Sink
-			so.CheckpointEveryExecs = ckptOpts.EveryExecs
-		}
-		if progOpts != nil {
-			so.OnProgress = progOpts.Sink
-			so.ProgressEvery = progOpts.Every
-		}
-		return shard.Explore(j.req.Program, so)
+		return core.Explore(j.req.Program, copts)
 	}
 
 	var res *core.Result
@@ -1001,15 +886,6 @@ func (s *Service) runJob(j *Job) {
 			quarantine = path
 			s.metrics.QuarantineArtifacts.Add(1)
 		}
-	}
-
-	// A sharded run that finished while every peer was dark ran fully
-	// local; say so where clients can see it, not just in the metrics.
-	if err == nil && j.req.Shards > 1 && s.pool != nil && s.pool.AllDark() {
-		s.mu.Lock()
-		j.diagnostics = append(j.diagnostics,
-			"degraded: all peers dark, shard legs ran locally (hmcd_peer_demotions_total counts them)")
-		s.mu.Unlock()
 	}
 
 	cached := false
@@ -1250,9 +1126,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}()
-	if first && s.pool != nil {
-		s.pool.Close() // stop the probe goroutines; workers are done
-	}
 	if first && s.journal != nil {
 		if !s.killed.Load() {
 			s.persistVerdicts()

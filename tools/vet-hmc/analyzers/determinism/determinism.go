@@ -1,19 +1,18 @@
 // Package determinism enforces the repo's central soundness invariant:
-// exploration is deterministic. Byte-identical merged counters across
-// shards (internal/shard), exactly-once resume across checkpoint cuts
-// (core.Checkpoint) and the equivalence tests that pin both all assume
+// exploration is deterministic. Identical execution sets across Workers
+// counts, exactly-once resume across checkpoint cuts (core.Checkpoint)
+// and the equivalence tests that pin both all assume
 // that the same program explored twice produces the same bytes. Three
 // constructs silently break that in Go, and this analyzer flags each in
-// the counter-affecting packages (internal/{core,shard,eg,relation,backend}):
+// the counter-affecting packages (internal/{core,eg,relation,backend}):
 //
 //   - time.Now — wall-clock values must never feed counters, keys or
-//     serialized state. Legitimate uses (progress timestamps, breaker
-//     clocks, steal patience) carry //hmc:nondet(reason).
+//     serialized state. Legitimate uses (progress timestamps, phase
+//     timers) carry //hmc:nondet(reason).
 //   - the global math/rand source — rand.Intn and friends draw from a
 //     process-global, concurrently-shared source; randomized algorithms
 //     must use a rand.New(rand.NewSource(seed)) with a deterministic
-//     seed (core.Estimate does) or annotate the site (pool backoff
-//     jitter does).
+//     seed (core.Estimate does) or annotate the site.
 //   - map iteration — Go randomizes range order, so a map range that
 //     builds ordered output, feeds a hash, or writes serialized state is
 //     nondeterministic. The blessed idiom is collect-then-sort: a range
@@ -22,7 +21,7 @@
 //     max, set-to-set copies) annotate instead.
 //
 // Every exception is therefore visible at the call site with a reason —
-// exactly the discipline ISSUE 8 asks for.
+// the discipline the analyzer exists to keep.
 package determinism
 
 import (
@@ -36,11 +35,10 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
 	Doc: "flags time.Now, global math/rand draws and unsorted map iteration " +
-		"in the counter-affecting packages (internal/{core,shard,eg,relation,backend}); " +
+		"in the counter-affecting packages (internal/{core,eg,relation,backend}); " +
 		"legitimate sites carry //hmc:nondet(reason)",
 	Match: analysis.HasSuffix(
-		"internal/core", "internal/shard", "internal/eg", "internal/relation",
-		"internal/backend",
+		"internal/core", "internal/eg", "internal/relation", "internal/backend",
 	),
 	Run: run,
 }

@@ -21,8 +21,8 @@
 //     somewhere in the package — no write-only and no export-only
 //     metrics.
 //
-// Names emitted through raw Fprintf (the per-peer labeled gauges) are
-// outside the helper discipline and outside this analyzer's scope.
+// Names emitted through raw Fprintf (the per-backend labeled latency
+// histograms) are outside the helper discipline and outside this analyzer's scope.
 package metricsreg
 
 import (

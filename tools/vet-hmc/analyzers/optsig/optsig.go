@@ -16,8 +16,8 @@
 //     legitimately differ between the checkpointing and resuming runs
 //     (Workers, MemoryBudget, callbacks, observation knobs);
 //   - marked //hmc:identity(Field) in its doc comment: the field is
-//     checked through a dedicated Checkpoint field instead (Model,
-//     Shard), which this analyzer verifies exists.
+//     checked through a dedicated Checkpoint field instead (Model),
+//     which this analyzer verifies exists.
 //
 // A field with none of the three is a compile-time ErrCheckpointMismatch
 // bug waiting to happen and is reported.
