@@ -27,8 +27,7 @@ type View struct {
 	// whole bundle for the next consistency check.
 	arena *relation.Arena
 
-	po, poloc, rf, rfe, rfi, co, fr, eco *relation.Rel
-	depAddr, depData, depCtrl, depAll    *relation.Rel
+	po, poloc, rf, rfe, co, fr, eco *relation.Rel
 }
 
 // NewView snapshots g with heap-allocated relations. Use GetView/PutView on
@@ -84,8 +83,7 @@ func (v *View) init(g *Graph) {
 }
 
 func (v *View) clearMemos() {
-	v.po, v.poloc, v.rf, v.rfe, v.rfi, v.co, v.fr, v.eco = nil, nil, nil, nil, nil, nil, nil, nil
-	v.depAddr, v.depData, v.depCtrl, v.depAll = nil, nil, nil, nil
+	v.po, v.poloc, v.rf, v.rfe, v.co, v.fr, v.eco = nil, nil, nil, nil, nil, nil, nil
 }
 
 // threadEnd returns one past the dense index of thread t's last event.
@@ -95,6 +93,10 @@ func (v *View) threadEnd(t int) int {
 	}
 	return v.N
 }
+
+// ThreadRange returns the dense interval [lo, hi) holding thread t's
+// events, in program order.
+func (v *View) ThreadRange(t int) (lo, hi int) { return v.off[t], v.threadEnd(t) }
 
 // Idx returns the dense index of an event.
 func (v *View) Idx(id EvID) int {
@@ -203,15 +205,6 @@ func (v *View) Rfe() *relation.Rel {
 	return r
 }
 
-// Rfi returns internal (same-thread) reads-from.
-func (v *View) Rfi() *relation.Rel {
-	if v.rfi != nil {
-		return v.rfi
-	}
-	v.rfi = v.Rf().Minus(v.Rfe())
-	return v.rfi
-}
-
 // Co returns the coherence order: for each location, init before every
 // write, and co-list order between writes.
 func (v *View) Co() *relation.Rel {
@@ -275,7 +268,7 @@ func (v *View) Fr() *relation.Rel {
 
 // Eco returns the extended communication order (rf ∪ co ∪ fr)⁺. Memoized
 // like the other accessors: models that consult eco several times per check
-// (RC11, IMM) pay for the closure once.
+// (RC11) pay for the closure once.
 func (v *View) Eco() *relation.Rel {
 	if v.eco != nil {
 		return v.eco
@@ -284,98 +277,14 @@ func (v *View) Eco() *relation.Rel {
 	return v.eco
 }
 
-func (v *View) depRel(pick func(Event) []EvID) *relation.Rel {
-	r := v.Empty()
-	for b, ev := range v.Events {
-		for _, d := range pick(ev) {
-			r.Add(v.Idx(d), b)
-		}
-	}
-	return r
-}
-
-// DepAddr returns address dependencies (read → dependent event).
-func (v *View) DepAddr() *relation.Rel {
-	if v.depAddr == nil {
-		v.depAddr = v.depRel(func(e Event) []EvID { return e.Addr })
-	}
-	return v.depAddr
-}
-
-// DepData returns data dependencies (read → dependent write).
-func (v *View) DepData() *relation.Rel {
-	if v.depData == nil {
-		v.depData = v.depRel(func(e Event) []EvID { return e.Data })
-	}
-	return v.depData
-}
-
-// DepCtrl returns control dependencies (read → every event po-after a
-// branch whose condition depends on the read).
-func (v *View) DepCtrl() *relation.Rel {
-	if v.depCtrl == nil {
-		v.depCtrl = v.depRel(func(e Event) []EvID { return e.Ctrl })
-	}
-	return v.depCtrl
-}
-
-// Deps returns addr ∪ data ∪ ctrl.
-func (v *View) Deps() *relation.Rel {
-	if v.depAll == nil {
-		v.depAll = v.DepAddr().Union(v.DepData()).UnionWith(v.DepCtrl())
-	}
-	return v.depAll
-}
-
 // FilterIdx returns the set of dense indices whose event satisfies pred.
-func (v *View) FilterIdx(pred func(Event) bool) []int {
+// pred sees each event by pointer, so the scan copies no Event.
+func (v *View) FilterIdx(pred func(*Event) bool) []int {
 	var out []int
-	for i, ev := range v.Events {
-		if pred(ev) {
+	for i := range v.Events {
+		if pred(&v.Events[i]) {
 			out = append(out, i)
 		}
 	}
-	return out
-}
-
-// SeqFence returns the relation {(a,b) | a po f po b} for fences f of the
-// given kinds — the building block of barrier-ordering relations.
-func (v *View) SeqFence(kinds ...FenceKind) *relation.Rel {
-	want := map[FenceKind]bool{}
-	for _, k := range kinds {
-		want[k] = true
-	}
-	fences := v.FilterIdx(func(e Event) bool { return e.Kind == KFence && want[e.Fence] })
-	r := v.Empty()
-	po := v.Po()
-	for _, f := range fences {
-		for a := 0; a < v.N; a++ {
-			if !po.Has(a, f) {
-				continue
-			}
-			for b := 0; b < v.N; b++ {
-				if po.Has(f, b) {
-					r.Add(a, b)
-				}
-			}
-		}
-	}
-	return r
-}
-
-// Restrict returns r with all pairs removed whose source does not satisfy
-// from or whose target does not satisfy to. Either predicate may be nil
-// (no constraint).
-func (v *View) Restrict(r *relation.Rel, from, to func(Event) bool) *relation.Rel {
-	out := v.Empty()
-	r.Pairs(func(a, b int) {
-		if from != nil && !from(v.Events[a]) {
-			return
-		}
-		if to != nil && !to(v.Events[b]) {
-			return
-		}
-		out.Add(a, b)
-	})
 	return out
 }

@@ -25,18 +25,13 @@ func TestEcoMemoized(t *testing.T) {
 // checks between pooled and heap-backed views.
 func viewRels(v *View) map[string]*relation.Rel {
 	return map[string]*relation.Rel{
-		"po":      v.Po(),
-		"poloc":   v.PoLoc(),
-		"rf":      v.Rf(),
-		"rfe":     v.Rfe(),
-		"rfi":     v.Rfi(),
-		"co":      v.Co(),
-		"fr":      v.Fr(),
-		"eco":     v.Eco(),
-		"depAddr": v.DepAddr(),
-		"depData": v.DepData(),
-		"depCtrl": v.DepCtrl(),
-		"deps":    v.Deps(),
+		"po":    v.Po(),
+		"poloc": v.PoLoc(),
+		"rf":    v.Rf(),
+		"rfe":   v.Rfe(),
+		"co":    v.Co(),
+		"fr":    v.Fr(),
+		"eco":   v.Eco(),
 	}
 }
 

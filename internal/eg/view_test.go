@@ -68,8 +68,8 @@ func TestViewRfSplit(t *testing.T) {
 		t.Error("rf missing Wy -> Ry")
 	}
 	// Both rf edges are external here.
-	if v.Rfe().Len() != 2 || v.Rfi().Len() != 0 {
-		t.Errorf("rfe/rfi split wrong: %d/%d", v.Rfe().Len(), v.Rfi().Len())
+	if v.Rfe().Len() != 2 {
+		t.Errorf("rfe Len = %d, want 2", v.Rfe().Len())
 	}
 }
 
@@ -82,8 +82,8 @@ func TestViewRfiInternal(t *testing.T) {
 	g.Add(r)
 	g.SetRF(r.ID, w.ID)
 	v := NewView(g)
-	if v.Rfi().Len() != 1 || v.Rfe().Len() != 0 {
-		t.Fatalf("same-thread rf must be internal: rfi=%d rfe=%d", v.Rfi().Len(), v.Rfe().Len())
+	if v.Rf().Len() != 1 || v.Rfe().Len() != 0 {
+		t.Fatalf("same-thread rf must be internal: rf=%d rfe=%d", v.Rf().Len(), v.Rfe().Len())
 	}
 }
 
@@ -139,68 +139,18 @@ func TestViewEcoTransitive(t *testing.T) {
 	}
 }
 
-func TestViewDeps(t *testing.T) {
-	// T0: r = R x; W y = r (data dep); branch on r then W z (ctrl dep).
-	g := NewGraph(1, 3)
-	r := Event{ID: EvID{T: 0, I: 0}, Kind: KRead, Loc: 0}
-	wy := Event{ID: EvID{T: 0, I: 1}, Kind: KWrite, Loc: 1, Val: 0, Data: []EvID{r.ID}}
-	wz := Event{ID: EvID{T: 0, I: 2}, Kind: KWrite, Loc: 2, Val: 1, Ctrl: []EvID{r.ID}}
-	g.Add(r)
-	g.SetRF(r.ID, InitID(0))
-	g.Add(wy)
-	g.CoInsert(1, 0, wy.ID)
-	g.Add(wz)
-	g.CoInsert(2, 0, wz.ID)
-	v := NewView(g)
-	if !v.DepData().Has(v.Idx(r.ID), v.Idx(wy.ID)) {
-		t.Error("data dep missing")
-	}
-	if !v.DepCtrl().Has(v.Idx(r.ID), v.Idx(wz.ID)) {
-		t.Error("ctrl dep missing")
-	}
-	if v.DepAddr().Len() != 0 {
-		t.Error("no addr deps expected")
-	}
-	if v.Deps().Len() != 2 {
-		t.Errorf("Deps Len = %d, want 2", v.Deps().Len())
-	}
-}
-
-func TestViewSeqFence(t *testing.T) {
-	// T0: W x; F.full; R y  — fence orders Wx before Ry.
-	g := NewGraph(1, 2)
-	w := Event{ID: EvID{T: 0, I: 0}, Kind: KWrite, Loc: 0, Val: 1}
-	f := Event{ID: EvID{T: 0, I: 1}, Kind: KFence, Fence: FenceFull}
-	r := Event{ID: EvID{T: 0, I: 2}, Kind: KRead, Loc: 1}
-	g.Add(w)
-	g.CoInsert(0, 0, w.ID)
-	g.Add(f)
-	g.Add(r)
-	g.SetRF(r.ID, InitID(1))
-	v := NewView(g)
-	sf := v.SeqFence(FenceFull)
-	if !sf.Has(v.Idx(w.ID), v.Idx(r.ID)) {
-		t.Error("fence ordering missing Wx -> Ry")
-	}
-	if sf.Has(v.Idx(r.ID), v.Idx(w.ID)) {
-		t.Error("fence ordering must follow po direction")
-	}
-	if v.SeqFence(FenceLW).Len() != 0 {
-		t.Error("no lw fences present")
-	}
-}
-
-func TestViewRestrict(t *testing.T) {
+func TestViewThreadRange(t *testing.T) {
 	g := buildMP(t)
 	v := NewView(g)
-	// po restricted to write sources only.
-	wOnly := v.Restrict(v.Po(), func(e Event) bool { return e.Kind == KWrite }, nil)
-	wOnly.Pairs(func(a, b int) {
-		if v.Events[a].Kind != KWrite {
-			t.Errorf("pair source %v is not a write", v.Events[a])
+	for th := 0; th < 2; th++ {
+		lo, hi := v.ThreadRange(th)
+		if hi-lo != g.ThreadLen(th) {
+			t.Fatalf("thread %d range [%d,%d) holds %d events, want %d", th, lo, hi, hi-lo, g.ThreadLen(th))
 		}
-	})
-	if wOnly.Len() == 0 {
-		t.Error("expected some write-sourced po pairs")
+		for i := lo; i < hi; i++ {
+			if v.Events[i].ID != (EvID{T: th, I: i - lo}) {
+				t.Errorf("dense %d = %v, want t%d:%d", i, v.Events[i].ID, th, i-lo)
+			}
+		}
 	}
 }

@@ -59,6 +59,8 @@ func benchJobs(opts Options) []struct {
 		{gen.SBN(8), "tso"},
 		{gen.IndexerN(3), "sc"},
 		{gen.IncN(3, 2), "sc"},
+		{gen.LBN(8), "imm"},
+		{gen.LBN(8), "arm"},
 	}
 	if !opts.Quick {
 		jobs = append(jobs, job{gen.SBN(10), "tso"}, job{gen.IncN(3, 3), "sc"})

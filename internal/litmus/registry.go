@@ -38,7 +38,7 @@ func ex(sc, tso, pso, arm, ra, relaxed, imm int) map[string]int {
 // anchors (restoring SB/MP/IRIW/R when fully fenced).
 var rc11Verdicts = map[string]bool{
 	"SB": true, "SB+ffs": false, "SB+lws": true,
-	"MP": true, "MP+ff+ff": false, "MP+lw+ld": true, "MP+lw+addr": true,
+	"MP": true, "MP+ff+ff": false, "MP+lw+ld": true, "MP+lw+lw": true, "MP+lw+addr": true,
 	"MP+po+addr": true, "MP+lw+ctrl": true,
 	"LB": false, "LB+datas": false, "LB+ctrls": false, "LB+valdeps": false, "LB+data+po": false,
 	"2+2W": true, "2+2W+lws": true,
@@ -93,6 +93,12 @@ func corpus() []Test {
 			Allowed: vd(false, false, false, false, false, true, false)},
 		{Name: "MP+lw+ld", P: MP(lw, ld, MPNone),
 			Allowed: vd(false, false, false, false, false, true, false)},
+		// lw orders everything but W→R, so it also orders the reader's
+		// R→R: forbidden under arm too. A W×W-only (DMB ST) lw would
+		// allow it there — this test pins which rule arm uses.
+		{Name: "MP+lw+lw", P: MP(lw, lw, MPNone),
+			Allowed:    vd(false, false, false, false, false, true, false),
+			Executions: ex(3, 3, 3, 3, 3, 4, 3)},
 		{Name: "MP+lw+addr", P: MP(lw, no, MPAddr),
 			Allowed: vd(false, false, false, false, false, true, false)},
 		{Name: "MP+po+addr", P: MP(no, no, MPAddr),

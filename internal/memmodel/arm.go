@@ -18,15 +18,24 @@ import (
 //	dob := addr ∪ data ∪ ctrl∩(→W), extended through store-to-load
 //	       forwarding ([R];(deps ∪ rfi)⁺ as in IMM-lite)
 //	bob := po;[Ffull];po                          (DMB SY)
-//	     ∪ po;[Flw];po ∩ (W×W)                    (DMB ST)
+//	     ∪ po;[Flw];po minus W→R                  (lwsync-like, as in
+//	                                               IMM-lite; orders R→R)
 //	     ∪ [R];po;[Fld];po                        (DMB LD)
 //	ob  := dob ∪ bob ∪ rfe ∪ coe ∪ fre            must be acyclic
+//
+// The lw barrier is IMM-lite's, not DMB ST's W×W: it also orders reads, so
+// MP+lw+lw is forbidden here (the litmus corpus pins this).
 //
 // Consequences, all pinned by the litmus corpus: SB/MP/LB/2+2W behave as
 // on IMM-lite, but IRIW (and WRC) become forbidden as soon as the readers
 // are ordered by *anything* — an address dependency suffices — because
 // fre and coe participate in ob (multi-copy atomicity). On IMM-lite the
 // same tests stay allowed (POWER's non-MCA behaviour).
+//
+// The predicate streams into one pooled DeltaRel: rfe ∪ coe ∪ fre, common
+// to coherence and ob, is loaded once; coherence adds its remaining edges
+// and is rolled back; ob adds dob ∪ bob on the same prefix. The
+// materialized formulation is the test oracle in legacy_test.go.
 type ARM struct{}
 
 // Name implements Model.
@@ -34,35 +43,35 @@ func (ARM) Name() string { return "arm" }
 
 // Consistent implements Model.
 func (ARM) Consistent(v *eg.View) bool {
-	if !baseConsistent(v) {
+	if !Atomic(v) {
 		return false
 	}
-	return armOB(v).Acyclic()
-}
-
-// armOB computes the ordered-before relation.
-func armOB(v *eg.View) *relation.Rel {
-	ob := immPPO(v) // [R];(deps ∪ rfi)⁺ — same dependency skeleton as IMM-lite
-	ob.UnionWith(immBob(v))
-	ob.UnionWith(v.Rfe())
-	// External coherence and from-read: the multi-copy-atomic ingredients.
-	ext := func(r *relation.Rel) *relation.Rel {
-		return v.Restrict(r, nil, nil).Minus(sameThread(v, r))
+	s := getScratch(v.N)
+	defer putScratch(s)
+	d := s.d
+	rfSrc := s.rfSources(v)
+	ext := v.Empty()
+	addRfe(v, ext, rfSrc)
+	addExternal(v, ext, v.Co())
+	addExternal(v, ext, v.Fr())
+	if !d.AddRelAcyclic(ext) {
+		return false // a cycle in rfe ∪ coe ∪ fre is already incoherent
 	}
-	ob.UnionWith(ext(v.Co()))
-	ob.UnionWith(ext(v.Fr()))
-	return ob
+	mark := d.Snapshot()
+	if !d.AddRelAcyclic(v.Co()) || !d.AddRelAcyclic(v.Fr()) ||
+		!d.AddRelAcyclic(v.PoLoc()) || !d.AddRelAcyclic(v.Rf()) {
+		return false // incoherent
+	}
+	d.Rollback(mark)
+	return d.AddRelAcyclic(preservedOrder(v, rfSrc))
 }
 
-// sameThread returns the pairs of r whose endpoints share a thread
-// (init events count as external to every thread).
-func sameThread(v *eg.View, r *relation.Rel) *relation.Rel {
-	out := v.Empty()
+// addExternal adds to dst the pairs of r whose endpoints lie in different
+// threads (init events count as external to every thread).
+func addExternal(v *eg.View, dst, r *relation.Rel) {
 	r.Pairs(func(a, b int) {
-		ea, eb := v.Events[a], v.Events[b]
-		if !ea.ID.IsInit() && !eb.ID.IsInit() && ea.ID.T == eb.ID.T {
-			out.Add(a, b)
+		if v.Events[a].ID.T != v.Events[b].ID.T {
+			dst.Add(a, b)
 		}
 	})
-	return out
 }

@@ -15,7 +15,8 @@ import (
 // materializing unions: TSO and PSO load the co ∪ fr edges shared by the
 // coherence and ghb axioms once, snapshot, decide coherence, roll back and
 // decide ghb on top of the same prefix. The from-scratch formulations live
-// in legacy.go.
+// in legacy_test.go, as the oracle the streaming predicates are tested
+// against.
 
 // SC is sequential consistency: acyclic(po ∪ rf ∪ co ∪ fr).
 type SC struct{}
@@ -30,10 +31,11 @@ func (SC) Consistent(v *eg.View) bool {
 	}
 	// Coherence's edge set (po-loc ∪ rf ∪ co ∪ fr) is a subset of SC's
 	// ghb (po-loc ⊆ po), so a single acyclicity pass decides both axioms.
-	d := getDelta(v.N)
+	s := getScratch(v.N)
+	d := s.d
 	ok := d.AddRelAcyclic(v.Po()) && d.AddRelAcyclic(v.Rf()) &&
 		d.AddRelAcyclic(v.Co()) && d.AddRelAcyclic(v.Fr())
-	putDelta(d)
+	putScratch(s)
 	return ok
 }
 
@@ -67,8 +69,9 @@ func storeBufferConsistent(v *eg.View, relaxWW bool) bool {
 	if !Atomic(v) {
 		return false
 	}
-	d := getDelta(v.N)
-	defer putDelta(d)
+	s := getScratch(v.N)
+	defer putScratch(s)
+	d := s.d
 	if !d.AddRelAcyclic(v.Co()) || !d.AddRelAcyclic(v.Fr()) {
 		return false // a cycle inside co ∪ fr already violates coherence
 	}

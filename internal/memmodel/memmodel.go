@@ -35,19 +35,27 @@ type Model interface {
 	Consistent(v *eg.View) bool
 }
 
-// deltaPool recycles incremental-acyclicity checkers across consistency
-// checks: getDelta hands out a DeltaRel reset to the requested universe,
-// putDelta returns it. The per-check cost is then the streamed edges, not
-// allocation.
-var deltaPool = sync.Pool{New: func() any { return relation.NewDelta(0) }}
-
-func getDelta(n int) *relation.DeltaRel {
-	d := deltaPool.Get().(*relation.DeltaRel)
-	d.Reset(n)
-	return d
+// scratch is the pooled working set of one consistency check: the
+// incremental acyclicity checker every streaming predicate feeds, plus the
+// per-event tables of the hardware models (imm.go). getScratch hands one
+// out with the checker reset to the requested universe, putScratch returns
+// it; the per-check cost is then the streamed edges, not allocation.
+type scratch struct {
+	d     *relation.DeltaRel
+	rfSrc []int // dense index of each read's rf source, or -1
+	key   []int // eco position of each memory event, or -1 (see ecoKeys)
+	order []int // d's topological order
 }
 
-func putDelta(d *relation.DeltaRel) { deltaPool.Put(d) }
+var scratchPool = sync.Pool{New: func() any { return &scratch{d: relation.NewDelta(0)} }}
+
+func getScratch(n int) *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.d.Reset(n)
+	return s
+}
+
+func putScratch(s *scratch) { scratchPool.Put(s) }
 
 // Coherent reports SC-per-location: acyclic(po-loc ∪ rf ∪ co ∪ fr).
 // Every model includes this axiom. The union is never materialized: the
@@ -55,10 +63,11 @@ func putDelta(d *relation.DeltaRel) { deltaPool.Put(d) }
 // the first cycle-closing edge (the test oracle LegacyCoherent keeps the
 // from-scratch formulation).
 func Coherent(v *eg.View) bool {
-	d := getDelta(v.N)
+	s := getScratch(v.N)
+	d := s.d
 	ok := d.AddRelAcyclic(v.Co()) && d.AddRelAcyclic(v.Fr()) &&
 		d.AddRelAcyclic(v.PoLoc()) && d.AddRelAcyclic(v.Rf())
-	putDelta(d)
+	putScratch(s)
 	return ok
 }
 

@@ -105,10 +105,10 @@ func rc11HB(v *eg.View) *relation.Rel {
 // annotating only one thread of SB buys nothing (SB+sc+rlx stays
 // observable), exactly as in RC11.
 func rc11PSC(v *eg.View) bool {
-	isFence := func(e eg.Event) bool {
+	isFence := func(e *eg.Event) bool {
 		return e.Kind == eg.KFence && e.Fence == eg.FenceFull
 	}
-	isAnchor := func(e eg.Event) bool {
+	isAnchor := func(e *eg.Event) bool {
 		return e.Mode == eg.ModeSC || isFence(e)
 	}
 	anchors := v.FilterIdx(isAnchor)
@@ -124,7 +124,7 @@ func rc11PSC(v *eg.View) bool {
 	// given side.
 	hop := func(a int, succ bool) []int {
 		out := []int{a}
-		if !isFence(v.Events[a]) {
+		if !isFence(&v.Events[a]) {
 			return out
 		}
 		for x := 0; x < v.N; x++ {
@@ -150,7 +150,7 @@ func rc11PSC(v *eg.View) bool {
 						connected = true
 					}
 					// psc_F: fence ; po ; eco ; po ; fence.
-					if isFence(v.Events[a]) && isFence(v.Events[b]) &&
+					if isFence(&v.Events[a]) && isFence(&v.Events[b]) &&
 						x != a && y != b && x != y && eco.Has(x, y) {
 						connected = true
 					}

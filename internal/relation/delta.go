@@ -97,6 +97,19 @@ func (d *DeltaRel) Len() int { return len(d.edgeLog) }
 // Has reports whether the edge (a, b) is present.
 func (d *DeltaRel) Has(a, b int) bool { return d.succ.Has(a, b) }
 
+// Order returns d's nodes in the maintained topological order, reusing
+// dst's storage: every edge of d runs from an earlier node to a later one.
+func (d *DeltaRel) Order(dst []int) []int {
+	if cap(dst) < d.n {
+		dst = make([]int, d.n)
+	}
+	dst = dst[:d.n]
+	for v, i := range d.ord {
+		dst[i] = v
+	}
+	return dst
+}
+
 // Snapshot returns a rollback point capturing the current edge set and
 // topological order. Snapshots nest; rolling back to an older mark
 // invalidates newer ones.

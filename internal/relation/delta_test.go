@@ -270,3 +270,45 @@ func FuzzDeltaAcyclic(f *testing.F) {
 		})
 	})
 }
+
+// TestPropDeltaOrder checks the exported order: a permutation of the
+// universe in which every accepted edge runs forward, and closing the edge
+// set by UnionRow along its reverse yields the transitive closure.
+func TestPropDeltaOrder(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(70) // spans multi-word rows
+		d := NewDelta(n)
+		for k := 0; k < 3*n; k++ {
+			d.AddEdgeAcyclic(rng.Intn(n), rng.Intn(n))
+		}
+		order := d.Order(make([]int, 0, 2))
+		if len(order) != n {
+			return false
+		}
+		pos := make([]int, n)
+		seen := make([]bool, n)
+		for i, v := range order {
+			if seen[v] {
+				return false
+			}
+			seen[v] = true
+			pos[v] = i
+		}
+		ok := true
+		d.succ.Pairs(func(a, b int) {
+			if pos[a] >= pos[b] {
+				ok = false
+			}
+		})
+		reach := d.succ.Clone()
+		for i := n - 1; i >= 0; i-- {
+			a := order[i]
+			d.succ.Successors(a, func(b int) { reach.UnionRow(a, b) })
+		}
+		return ok && reach.Equal(d.succ.Closure())
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

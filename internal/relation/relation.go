@@ -191,6 +191,19 @@ func (r *Rel) Compose(o *Rel) *Rel {
 	return out
 }
 
+// UnionRow adds every successor of b as a successor of a: row a |= row b.
+// Applied along a reverse topological order it accumulates reachability
+// one row at a time.
+func (r *Rel) UnionRow(a, b int) {
+	r.check(a)
+	r.check(b)
+	src := r.bits[b*r.w : (b+1)*r.w]
+	dst := r.bits[a*r.w : (a+1)*r.w]
+	for i, word := range src {
+		dst[i] |= word
+	}
+}
+
 // Inverse returns the converse relation {(b, a) | (a, b) ∈ r}.
 func (r *Rel) Inverse() *Rel {
 	out := r.newLike(r.n)

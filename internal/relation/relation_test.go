@@ -426,3 +426,21 @@ func TestAddRangePreservesExistingBits(t *testing.T) {
 		}
 	}
 }
+
+// TestUnionRow checks UnionRow ORs exactly one row into another, across a
+// word boundary, leaving every other row alone.
+func TestUnionRow(t *testing.T) {
+	r := New(130)
+	r.Add(1, 2)
+	r.Add(1, 129)
+	r.Add(0, 5)
+	r.UnionRow(0, 1)
+	for _, b := range []int{2, 5, 129} {
+		if !r.Has(0, b) {
+			t.Errorf("row 0 missing %d after UnionRow", b)
+		}
+	}
+	if r.Len() != 5 || !r.Has(1, 2) || !r.Has(1, 129) {
+		t.Errorf("UnionRow touched the source row or other rows: %v", r)
+	}
+}
