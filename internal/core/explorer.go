@@ -19,7 +19,12 @@
 // The dependency prefix is where hardware models differ from RC11-style
 // models: events po-after the revisited read that do not syntactically
 // depend on it are *kept*, which is what makes load-buffering executions
-// (rf into the po-past) reachable. Optimality — each consistent execution
+// (rf into the po-past) reachable. Two shortcuts reject doomed revisits
+// early: a rebind that would close a (po-loc ∪ rf) cycle through the read,
+// out of edges repair cannot rewrite, is dropped before any graph is built
+// (coherence, shared by every model, forbids it), and a failed revisit with
+// no kept control or address dependency skips the taint-pruning second
+// phase, which could delete nothing. Optimality — each consistent execution
 // explored exactly once — comes from the exploration-state memo in visit:
 // graphs are memoized on their canonical key, so a state rebuilt by a
 // second revisit choreography is pruned rather than re-explored. There is
@@ -215,15 +220,19 @@ func (e ErrorReport) String() string {
 // Stats aggregates exploration metrics; these are the numbers the paper's
 // tables report (executions explored, blocked executions, revisits, …).
 type Stats struct {
-	Executions         int // complete consistent executions
-	ExistsCount        int // executions satisfying the program's Exists clause
-	Blocked            int // executions ending with a blocked thread
-	Duplicates         int // duplicate executions suppressed (must stay 0)
-	RevisitsTried      int // backward revisit candidates considered
-	RevisitsTaken      int
-	States             int // distinct exploration states visited
-	MemoHits           int // states reached again and pruned by the memo
-	RevisitsRepairFail int // rejected because repair diverged or failed to converge
+	Executions    int // complete consistent executions
+	ExistsCount   int // executions satisfying the program's Exists clause
+	Blocked       int // executions ending with a blocked thread
+	Duplicates    int // duplicate executions suppressed (must stay 0)
+	RevisitsTried int // backward revisit candidates considered
+	RevisitsTaken int
+	States        int // distinct exploration states visited
+	MemoHits      int // states reached again and pruned by the memo
+	// RevisitsRepairFail counts tried revisits rejected without being
+	// taken: the rebind closes a coherence cycle, repair diverges or fails
+	// to converge, or the repaired graph is inconsistent — each with no
+	// phase-2 taint pruning left to cure it.
+	RevisitsRepairFail int
 	RevisitsPorfSkip   int // skipped by the PorfOnlyRevisits ablation
 	ConsistencyChecks  int
 	StuckReads         int // reads with no consistent rf option (must stay 0)

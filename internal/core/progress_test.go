@@ -278,11 +278,42 @@ func TestTraceEventsJSONL(t *testing.T) {
 	if kinds["revisit-taken"] != res.RevisitsTaken {
 		t.Errorf("revisit-taken events %d, counter %d", kinds["revisit-taken"], res.RevisitsTaken)
 	}
+	if kinds["revisit-incoherent"] != 0 {
+		t.Errorf("SB has no rmw chains or po-loc prefixes to close a coherence cycle, yet %d revisit-incoherent events",
+			kinds["revisit-incoherent"])
+	}
 	if kinds["snapshot"] != len(snaps) {
 		t.Errorf("snapshot events %d, sink deliveries %d", kinds["snapshot"], len(snaps))
 	}
 	if int64(len(kinds)) == 0 || tr.Events() == 0 {
 		t.Error("empty trace")
+	}
+}
+
+// TestTraceIncoherentRevisits: on the rmw-counter family most tried
+// revisits close a coherence cycle, and each is named in the trace. Every
+// such revisit is also counted as a repair failure here (the family has no
+// control or address dependencies, so there is no phase 2 to fire again).
+func TestTraceIncoherentRevisits(t *testing.T) {
+	m, _ := memmodel.ByName("sc")
+	var buf bytes.Buffer
+	tr := obs.NewTracer(&buf)
+	res, err := Explore(gen.IncN(3, 2), Options{Model: m, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	incoherent := 0
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev obs.TraceEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("bad trace line %q: %v", line, err)
+		}
+		if ev.Kind == "revisit-incoherent" {
+			incoherent++
+		}
+	}
+	if incoherent == 0 || incoherent > res.RevisitsRepairFail {
+		t.Errorf("revisit-incoherent events %d, want in [1, RevisitsRepairFail=%d]", incoherent, res.RevisitsRepairFail)
 	}
 }
 
