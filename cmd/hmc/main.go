@@ -157,6 +157,18 @@ func run(args []string, out io.Writer) error {
 		return context.Background(), func() {}
 	}
 
+	// One spec per model: the bounds are the same under every model.
+	specFor := func(model string) backend.Spec {
+		return backend.Spec{
+			Model:         model,
+			MaxExecutions: *maxExec,
+			MaxEvents:     *maxEvents,
+			MemoryBudget:  *memBudget,
+			Workers:       *workers,
+			Symmetry:      *symm,
+		}
+	}
+
 	if *backendName != "dfs" {
 		// Alternate engines answer through the normalized Verdict, not the
 		// explorer's native result, so the DFS-shaped extras don't compose.
@@ -170,7 +182,7 @@ func run(args []string, out io.Writer) error {
 			models = memmodel.Names()
 		}
 		for _, name := range models {
-			if err := checkBackend(out, p, name, *backendName, *maxExec, *maxEvents, *memBudget, *workers, *symm, *stats, newCtx); err != nil {
+			if err := checkBackend(out, p, specFor(name), *backendName, *stats, newCtx); err != nil {
 				return err
 			}
 		}
@@ -202,7 +214,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 	for _, name := range models {
-		if err := check(out, p, name, *verbose, *maxExec, *maxEvents, *memBudget, *dotPath, *workers, *symm, *static, *checkDeps, *stats, ck, ob, newCtx); err != nil {
+		if err := check(out, p, specFor(name), *verbose, *dotPath, *static, *checkDeps, *stats, ck, ob, newCtx); err != nil {
 			return err
 		}
 		if *robust {
@@ -290,15 +302,8 @@ func reportLiveness(out io.Writer, p *prog.Program, model string, newCtx func() 
 
 // checkBackend answers one model through the backend interface: a single
 // alternate engine, or the portfolio racing every applicable one.
-func checkBackend(out io.Writer, p *prog.Program, model, name string, maxExec, maxEvents int, memBudget int64, workers int, symm, stats bool, newCtx func() (context.Context, context.CancelFunc)) error {
-	spec := backend.Spec{
-		Model:         model,
-		MaxExecutions: maxExec,
-		MaxEvents:     maxEvents,
-		MemoryBudget:  memBudget,
-		Workers:       workers,
-		Symmetry:      symm,
-	}
+func checkBackend(out io.Writer, p *prog.Program, spec backend.Spec, name string, stats bool, newCtx func() (context.Context, context.CancelFunc)) error {
+	model := spec.Model
 	ctx, cancel := newCtx()
 	defer cancel()
 	if name == "portfolio" {
@@ -393,18 +398,11 @@ func repro(out io.Writer, path string) error {
 	if err != nil {
 		return fmt.Errorf("%w\nprogram dump (not replayable):\n%s", err, a.ProgramDump)
 	}
-	m, err := memmodel.ByName(a.Model)
+	opts, err := a.Options()
 	if err != nil {
 		return err
 	}
-	res, err := core.Explore(p, core.Options{
-		Model:         m,
-		MaxExecutions: a.MaxExecutions,
-		MaxEvents:     a.MaxEvents,
-		MemoryBudget:  a.MemoryBudget,
-		Workers:       a.Workers,
-		Symmetry:      a.Symmetry,
-	})
+	res, err := core.Explore(p, opts)
 	if ee, ok := core.AsEngineError(err); ok {
 		fmt.Fprintf(out, "REPRODUCED: engine panic during %s: %v\n%s", ee.Op, ee.PanicValue, ee.Stack)
 		return nil
@@ -435,17 +433,16 @@ func reproQuarantine(out io.Writer, path string) error {
 	if err != nil {
 		return fmt.Errorf("%w\nprogram dump (not replayable):\n%s", err, a.ProgramDump)
 	}
-	spec := backend.Spec{Model: a.Model}
 	verdicts := make([]*backend.Verdict, 0, 2)
 	for _, name := range []string{a.Winner.Backend, a.Dissenter.Backend} {
 		b, err := backend.ByName(name)
 		if err != nil {
 			return err
 		}
-		if err := b.Applicable(p, spec); err != nil {
+		if err := b.Applicable(p, a.Spec); err != nil {
 			return fmt.Errorf("backend %s no longer applicable: %w", name, err)
 		}
-		v, err := b.Run(context.Background(), p, spec)
+		v, err := b.Run(context.Background(), p, a.Spec)
 		if err != nil {
 			return fmt.Errorf("backend %s: %w", name, err)
 		}
@@ -463,11 +460,7 @@ func reproQuarantine(out io.Writer, path string) error {
 // file ("-" for stdin).
 func loadProgram(args []string, testName string) (*prog.Program, error) {
 	if testName != "" {
-		tc, ok := litmus.ByName(testName)
-		if !ok {
-			return nil, fmt.Errorf("unknown corpus test %q (see hmc-litmus for the list)", testName)
-		}
-		return tc.P, nil
+		return litmus.Resolve("", testName)
 	}
 	if len(args) != 1 {
 		return nil, fmt.Errorf("want exactly one litmus file (or '-' for stdin), or -test <name>")
@@ -482,11 +475,7 @@ func loadProgram(args []string, testName string) (*prog.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := litmus.Parse(string(src))
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	return litmus.Resolve(string(src), "")
 }
 
 // ckptConfig carries the -checkpoint/-resume flags into check.
@@ -533,14 +522,15 @@ func writeCheckpointFile(path string, cp *core.Checkpoint) error {
 	return os.Rename(tmp, path)
 }
 
-func check(out io.Writer, p *prog.Program, model string, verbose bool, maxExec, maxEvents int, memBudget int64, dotPath string, workers int, symm, static, checkDeps, stats bool, ck ckptConfig, ob obsConfig, newCtx func() (context.Context, context.CancelFunc)) error {
-	m, err := memmodel.ByName(model)
+func check(out io.Writer, p *prog.Program, spec backend.Spec, verbose bool, dotPath string, static, checkDeps, stats bool, ck ckptConfig, ob obsConfig, newCtx func() (context.Context, context.CancelFunc)) error {
+	opts, err := spec.Options()
 	if err != nil {
 		return err
 	}
+	model := spec.Model
 	ctx, cancel := newCtx()
 	defer cancel()
-	opts := core.Options{Model: m, Context: ctx, MaxExecutions: maxExec, MaxEvents: maxEvents, MemoryBudget: memBudget, Workers: workers, Symmetry: symm, StaticAnalysis: static, CheckDeps: checkDeps}
+	opts.Context, opts.StaticAnalysis, opts.CheckDeps = ctx, static, checkDeps
 	var tracer *obs.Tracer
 	var traceFile *os.File
 	if ob.trace != "" {
@@ -556,7 +546,7 @@ func check(out io.Writer, p *prog.Program, model string, verbose bool, maxExec, 
 		// boundary, over-count on revisit-heavy spaces) cost nothing here —
 		// a zero estimate just means the ticker shows no ETA.
 		est := 0.0
-		if er, eerr := core.Estimate(p, core.Options{Model: m}, 64, 1); eerr == nil {
+		if er, eerr := core.Estimate(p, core.Options{Model: opts.Model}, 64, 1); eerr == nil {
 			est = er.Mean
 		}
 		opts.Progress = &core.ProgressOptions{

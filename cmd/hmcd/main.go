@@ -17,7 +17,7 @@
 //	     [-retry-backoff 50ms] [-breaker-threshold 3] [-breaker-cooldown 10m]
 //	     [-progress-every 1s] [-pprof 127.0.0.1:6060]
 //	     [-chaos-plan plan.json]
-//	     [-portfolio] [-portfolio-timeout 30s] [-portfolio-grace 0]
+//	     [-portfolio]
 //	     [-quarantine-dir hmcd-quarantine] [-quarantine-max 32]
 //
 // Fault containment: an engine panic fails only its own job — the panic
@@ -111,8 +111,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (empty disables)")
 	chaosPlan := fs.String("chaos-plan", "", "dev only: JSON fault-injection plan (internal/faultinject) applied to the journal")
 	portfolio := fs.Bool("portfolio", false, "race every applicable backend per job and cross-attest verdicts; disagreements are quarantined, never served")
-	portfolioTimeout := fs.Duration("portfolio-timeout", 30*time.Second, "per-run deadline for non-anchor portfolio backends")
-	portfolioGrace := fs.Duration("portfolio-grace", 0, "how long losing backends keep cross-checking after a win (0 = default, negative cancels immediately)")
 	quarantineDir := fs.String("quarantine-dir", "hmcd-quarantine", "directory for backend-disagreement repro artifacts")
 	quarantineMax := fs.Int("quarantine-max", 32, "max quarantine artifacts kept, oldest evicted (negative disables capture)")
 	if err := fs.Parse(args); err != nil {
@@ -146,11 +144,9 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		ProgressEvery:        *progressEvery,
 		ChaosPlan:            plan,
 
-		Portfolio:               *portfolio,
-		PortfolioBackendTimeout: *portfolioTimeout,
-		PortfolioGrace:          *portfolioGrace,
-		QuarantineDir:           *quarantineDir,
-		MaxQuarantineArtifacts:  *quarantineMax,
+		Portfolio:              *portfolio,
+		QuarantineDir:          *quarantineDir,
+		MaxQuarantineArtifacts: *quarantineMax,
 	})
 	if err != nil {
 		return err
@@ -188,8 +184,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	fmt.Fprintf(out, "hmcd: listening on %s (workers=%d queue=%d cache=%d timeout=%v)\n",
 		ln.Addr(), eff.Workers, eff.QueueSize, eff.CacheSize, eff.DefaultTimeout)
 	if *portfolio {
-		fmt.Fprintf(out, "hmcd: portfolio on (backend timeout %v, quarantine dir %s)\n",
-			eff.PortfolioBackendTimeout, eff.QuarantineDir)
+		fmt.Fprintf(out, "hmcd: portfolio on (quarantine dir %s)\n", eff.QuarantineDir)
 	}
 	if *journalDir != "" {
 		// Replay runs in the background (watch /readyz); the verdict and

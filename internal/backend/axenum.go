@@ -85,7 +85,6 @@ func (a *Axenum) Run(ctx context.Context, p *prog.Program, spec Spec) (*Verdict,
 		var ierr error
 		res, ierr = axenum.Explore(p, axenum.Options{
 			Model:         model,
-			MaxSteps:      spec.MaxSteps,
 			MaxCandidates: a.maxCandidates(),
 			Context:       ctx,
 		})
@@ -125,8 +124,8 @@ func (a *Axenum) Run(ctx context.Context, p *prog.Program, spec Spec) (*Verdict,
 	return v, nil
 }
 
-// boundsGuard rejects DFS-shaped resource bounds and anchor-only
-// analyses for the alternate engines: a bounded run cuts the exploration
+// boundsGuard rejects DFS-shaped resource bounds and symmetry reduction
+// for the alternate engines: a bounded run cuts the exploration
 // tree in an engine-specific order, so its outcome set is not comparable
 // across engines.
 func boundsGuard(name string, spec Spec) error {
@@ -139,10 +138,6 @@ func boundsGuard(name string, spec Spec) error {
 		return Unsupported(name, "memory budgets truncate in engine-specific order")
 	case spec.Symmetry:
 		return Unsupported(name, "symmetry reduction collapses final states to orbit representatives")
-	case spec.CheckRaces:
-		return Unsupported(name, "race analysis is DFS-only")
-	case spec.CheckLiveness:
-		return Unsupported(name, "liveness analysis is DFS-only")
 	}
 	return nil
 }

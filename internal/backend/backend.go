@@ -26,6 +26,8 @@ import (
 	"sort"
 	"time"
 
+	"hmc/internal/core"
+	"hmc/internal/memmodel"
 	"hmc/internal/prog"
 )
 
@@ -52,32 +54,43 @@ func Unsupported(backend, format string, args ...any) error {
 	return &UnsupportedError{Backend: backend, Reason: fmt.Sprintf(format, args...)}
 }
 
-// Spec is the normalized checking request a Backend receives: the model
-// name plus the exploration bounds and analyses of a job submission.
-// Bounds are DFS-shaped (they cut the exploration tree in an
-// engine-specific order), so the alternate engines declare themselves
-// unsupported whenever one is set — a bounded verdict is only comparable
-// to itself.
+// Spec is a checking job's model and exploration bounds: what a Backend
+// receives, what the hmc flags and the hmcd wire format spell out, and —
+// through Options — what the DFS explorer runs under. The JSON tags are
+// the service's wire names. Bounds are DFS-shaped (they cut the
+// exploration tree in an engine-specific order), so the alternate engines
+// declare themselves unsupported whenever one is set — a bounded verdict
+// is only comparable to itself.
 type Spec struct {
 	// Model is the memory-model name (memmodel registry).
-	Model string
-	// MaxSteps bounds per-thread replay (0 = engine default).
-	MaxSteps int
+	Model string `json:"model,omitempty"`
 	// MaxExecutions, MaxEvents and MemoryBudget are DFS resource bounds;
 	// when any is set only the anchor is applicable.
-	MaxExecutions int
-	MaxEvents     int
-	MemoryBudget  int64
+	MaxExecutions int   `json:"max_executions,omitempty"`
+	MaxEvents     int   `json:"max_events,omitempty"`
+	MemoryBudget  int64 `json:"memory_budget,omitempty"`
 	// Workers is the DFS worker count (other engines are sequential).
-	Workers int
+	Workers int `json:"workers,omitempty"`
 	// Symmetry enables DFS symmetry reduction. Orbit-collapsed final
 	// states are a subset of the full set, so alternates skip.
-	Symmetry bool
-	// CheckRaces and CheckLiveness request the race/liveness analyses on
-	// top of the consistency verdict. Only the DFS anchor implements
-	// them.
-	CheckRaces    bool
-	CheckLiveness bool
+	Symmetry bool `json:"symmetry,omitempty"`
+}
+
+// Options resolves the model and carries the bounds into the explorer's
+// options; callers add the context, sinks and analyses of their run.
+func (s Spec) Options() (core.Options, error) {
+	m, err := memmodel.ByName(s.Model)
+	if err != nil {
+		return core.Options{}, err
+	}
+	return core.Options{
+		Model:         m,
+		MaxExecutions: s.MaxExecutions,
+		MaxEvents:     s.MaxEvents,
+		MemoryBudget:  s.MemoryBudget,
+		Workers:       s.Workers,
+		Symmetry:      s.Symmetry,
+	}, nil
 }
 
 // TriState is a three-valued analysis result: an engine that cannot
@@ -112,10 +125,6 @@ type Verdict struct {
 	// whenever it sees any; the DFS and operational engines are exact.
 	Assertion       TriState `json:"assertion"`
 	AssertionErrors []string `json:"assertion_errors,omitempty"`
-	// Racy and Deadlock are the optional race/liveness analyses (nil =
-	// not assessed by this backend).
-	Racy     *bool `json:"racy,omitempty"`
-	Deadlock *bool `json:"deadlock,omitempty"`
 	// Exhaustive reports complete coverage. Only exhaustive verdicts are
 	// comparable; a truncated or interrupted run carries partial
 	// counters and an indicative (but unattestable) outcome set.
@@ -175,8 +184,7 @@ func Digest(keys []string) string {
 // Diff compares two exhaustive verdicts and describes the first
 // disagreement ("" = agree). Non-exhaustive verdicts are incomparable
 // and never disagree. Assertion answers conflict only on a hard
-// Pass-vs-Fail split; Unknown is compatible with everything. Race and
-// liveness flags are compared only when both sides assessed them.
+// Pass-vs-Fail split; Unknown is compatible with everything.
 func Diff(a, b *Verdict) string {
 	if a == nil || b == nil || !a.Exhaustive || !b.Exhaustive {
 		return ""
@@ -189,12 +197,6 @@ func Diff(a, b *Verdict) string {
 	}
 	if (a.Assertion == Pass && b.Assertion == Fail) || (a.Assertion == Fail && b.Assertion == Pass) {
 		return fmt.Sprintf("assertion: %s=%s vs %s=%s", a.Backend, a.Assertion, b.Backend, b.Assertion)
-	}
-	if a.Racy != nil && b.Racy != nil && *a.Racy != *b.Racy {
-		return fmt.Sprintf("races: %s=%v vs %s=%v", a.Backend, *a.Racy, b.Backend, *b.Racy)
-	}
-	if a.Deadlock != nil && b.Deadlock != nil && *a.Deadlock != *b.Deadlock {
-		return fmt.Sprintf("liveness: %s=%v vs %s=%v", a.Backend, *a.Deadlock, b.Backend, *b.Deadlock)
 	}
 	return ""
 }

@@ -72,8 +72,6 @@ func TestOperationalGuards(t *testing.T) {
 		"max-events":     {Model: "tso", MaxEvents: 10},
 		"memory-budget":  {Model: "tso", MemoryBudget: 1 << 20},
 		"symmetry":       {Model: "tso", Symmetry: true},
-		"check-races":    {Model: "tso", CheckRaces: true},
-		"check-liveness": {Model: "tso", CheckLiveness: true},
 	}
 	for name, spec := range boundSpecs {
 		if err := o.Applicable(p, spec); !errors.Is(err, ErrUnsupported) {
@@ -116,8 +114,6 @@ func TestAxenumGuards(t *testing.T) {
 		"max-events":     {Model: "sc", MaxEvents: 10},
 		"memory-budget":  {Model: "sc", MemoryBudget: 1 << 20},
 		"symmetry":       {Model: "sc", Symmetry: true},
-		"check-races":    {Model: "sc", CheckRaces: true},
-		"check-liveness": {Model: "sc", CheckLiveness: true},
 	}
 	for name, spec := range boundSpecs {
 		if err := a.Applicable(p, spec); !errors.Is(err, ErrUnsupported) {
@@ -140,7 +136,7 @@ func TestDFSAnchorIsAlwaysApplicable(t *testing.T) {
 	d := &DFS{}
 	spec := Spec{
 		Model: "imm", MaxExecutions: 5, MaxEvents: 100, MemoryBudget: 1 << 20,
-		Symmetry: true, CheckRaces: true, CheckLiveness: true,
+		Symmetry: true,
 	}
 	if err := d.Applicable(p, spec); err != nil {
 		t.Fatalf("anchor should accept any bounds: %v", err)
@@ -258,19 +254,6 @@ func TestDiff(t *testing.T) {
 	unknown.Assertion = Unknown
 	if d := Diff(base(), unknown); d != "" {
 		t.Errorf("Unknown assertion should be compatible, got %q", d)
-	}
-
-	// Race/liveness flags compare only when both sides assessed them.
-	tv, fv := true, false
-	racyA, racyB := base(), base()
-	racyB.Backend = "b"
-	racyA.Racy = &tv
-	if d := Diff(racyA, racyB); d != "" {
-		t.Errorf("one-sided race flag should not disagree, got %q", d)
-	}
-	racyB.Racy = &fv
-	if d := Diff(racyA, racyB); !strings.Contains(d, "races") {
-		t.Errorf("want race diff, got %q", d)
 	}
 }
 

@@ -1,7 +1,6 @@
 // The DFS adapter wraps the production GenMC-style explorer
 // (internal/core). It is the portfolio's anchor: applicable to every
-// model and every bound, never skipped, and the only backend that
-// implements the race and liveness analyses. Explore installs its own
+// model and every bound, and never skipped. Explore installs its own
 // panic→EngineError boundary, so no extra containment is needed here.
 
 package backend
@@ -38,24 +37,15 @@ func (d *DFS) Applicable(p *prog.Program, spec Spec) error {
 }
 
 func (d *DFS) Run(ctx context.Context, p *prog.Program, spec Spec) (*Verdict, error) {
-	model, err := memmodel.ByName(spec.Model)
+	opts, err := spec.Options()
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now() //hmc:nondet(verdict latency is observability, never compared or counted)
 	finals := map[string]prog.FinalState{}
-	opts := core.Options{
-		Model:         model,
-		Context:       ctx,
-		MaxSteps:      spec.MaxSteps,
-		MaxExecutions: spec.MaxExecutions,
-		MaxEvents:     spec.MaxEvents,
-		MemoryBudget:  spec.MemoryBudget,
-		Workers:       spec.Workers,
-		Symmetry:      spec.Symmetry,
-		OnExecution: func(g *eg.Graph, fs prog.FinalState) {
-			finals[FinalKey(fs)] = fs
-		},
+	opts.Context = ctx
+	opts.OnExecution = func(g *eg.Graph, fs prog.FinalState) {
+		finals[FinalKey(fs)] = fs
 	}
 	if d.Tune != nil {
 		d.Tune(&opts)
@@ -91,24 +81,6 @@ func (d *DFS) Run(ctx context.Context, p *prog.Program, spec Spec) (*Verdict, er
 		v.Assertion = Pass
 	default:
 		v.Assertion = Unknown
-	}
-	if spec.CheckRaces {
-		rep, err := core.CheckRaces(p, core.Options{Context: ctx, MaxSteps: spec.MaxSteps, Workers: spec.Workers})
-		if err != nil {
-			return nil, err
-		}
-		if racy := len(rep.Races) > 0; racy || (!rep.Truncated && !rep.Interrupted) {
-			v.Racy = &racy
-		}
-	}
-	if spec.CheckLiveness {
-		rep, err := core.CheckLiveness(p, model, core.Options{Context: ctx, MaxSteps: spec.MaxSteps, Workers: spec.Workers})
-		if err != nil {
-			return nil, err
-		}
-		if dead := !rep.Live(); dead || (!rep.Truncated && !rep.Interrupted) {
-			v.Deadlock = &dead
-		}
 	}
 	return v, nil
 }

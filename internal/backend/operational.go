@@ -83,10 +83,9 @@ func (o *Operational) Run(ctx context.Context, p *prog.Program, spec Spec) (*Ver
 	err := core.Contain("backend:operational", p, spec.Model, func() error {
 		var ierr error
 		res, ierr = operational.Explore(p, operational.Options{
-			Level:    level,
-			MaxSteps: spec.MaxSteps,
-			Memo:     true,
-			Context:  ctx,
+			Level:   level,
+			Memo:    true,
+			Context: ctx,
 		})
 		return ierr
 	})

@@ -112,11 +112,6 @@ type Options struct {
 	// CollectKeys records each complete execution's canonical key in
 	// Result.Keys (tests and cross-validation).
 	CollectKeys bool
-	// OnDuplicate, when non-nil (and DedupSafeguard set), receives each
-	// suppressed duplicate execution — a debugging hook for the
-	// optimality tests.
-	//hmc:transient(callbacks observe the run; they never change what is explored)
-	OnDuplicate func(g *eg.Graph)
 	// Workers sets the number of concurrent exploration workers (≤1:
 	// sequential). Exploration subtrees are independent — graphs are
 	// cloned per branch and the state memo is synchronized — so branches
@@ -679,9 +674,6 @@ func (e *explorer) complete(g *eg.Graph) {
 	if e.sh.seen != nil {
 		if e.sh.seen[key] {
 			e.sh.res.Duplicates++
-			if e.opts.OnDuplicate != nil {
-				e.opts.OnDuplicate(g)
-			}
 			return
 		}
 		e.sh.seen[key] = true

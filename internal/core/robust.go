@@ -39,7 +39,6 @@ func analysisOptions(m memmodel.Model, onExec func(*eg.Graph, prog.FinalState), 
 	o.Model = m
 	o.OnExecution = onExec
 	o.OnBlocked = onBlocked
-	o.OnDuplicate = nil
 	o.CollectKeys = false
 	return o
 }

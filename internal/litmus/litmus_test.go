@@ -305,3 +305,27 @@ exists T1:r0=1
 		t.Error("awaiting a never-written value must be a liveness violation")
 	}
 }
+
+// TestResolve: exactly one of source and test names the program; every
+// other combination is an error that says what went wrong.
+func TestResolve(t *testing.T) {
+	sb, _ := ByName("SB")
+	p, err := Resolve("", "SB")
+	if err != nil || p.Fingerprint() != sb.P.Fingerprint() {
+		t.Fatalf("corpus test: %v, %v", p, err)
+	}
+	p, err = Resolve("name mine\nT0: W x 1\n", "")
+	if err != nil || p.Name != "mine" {
+		t.Fatalf("source: %v, %v", p, err)
+	}
+	for _, tc := range []struct{ source, test, want string }{
+		{"T0: W x 1", "SB", "not both"},
+		{"T0: FROB x 1", "", "parse:"},
+		{"", "no-such-test", `unknown corpus test "no-such-test"`},
+		{"", "", "need a litmus"},
+	} {
+		if _, err := Resolve(tc.source, tc.test); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Resolve(%q, %q) = %v, want an error containing %q", tc.source, tc.test, err, tc.want)
+		}
+	}
+}

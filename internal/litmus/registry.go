@@ -1,7 +1,11 @@
 package litmus
 
 import (
+	"errors"
+	"fmt"
+
 	"hmc/internal/eg"
+	"hmc/internal/prog"
 )
 
 // vd builds a full verdict map in the fixed model order. arm is ARMv8-lite
@@ -214,6 +218,30 @@ func ByName(name string) (Test, bool) {
 		}
 	}
 	return Test{}, false
+}
+
+// Resolve builds the program a job names: litmus source text or a corpus
+// test name, exactly one of them non-empty. It is the one place a program
+// request becomes a program — for hmc -test and litmus files, hmcd
+// submissions, journal replay and crash and quarantine artifacts.
+func Resolve(source, test string) (*prog.Program, error) {
+	switch {
+	case source != "" && test != "":
+		return nil, errors.New(`give a litmus "source" or a corpus "test" name, not both`)
+	case source != "":
+		p, err := Parse(source)
+		if err != nil {
+			return nil, fmt.Errorf("parse: %w", err)
+		}
+		return p, nil
+	case test != "":
+		tc, ok := ByName(test)
+		if !ok {
+			return nil, fmt.Errorf("unknown corpus test %q (see hmc-litmus for the list)", test)
+		}
+		return tc.P, nil
+	}
+	return nil, errors.New(`need a litmus "source" or a corpus "test" name`)
 }
 
 // Names lists all corpus test names in order.

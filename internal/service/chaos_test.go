@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hmc/internal/backend"
 	"hmc/internal/faultinject"
 	"hmc/internal/litmus"
 	"hmc/internal/prog"
@@ -32,7 +33,7 @@ func TestJournalDegradedRecovery(t *testing.T) {
 	}
 	defer j.close()
 
-	j.submit("job-000001", SubmitRequest{Test: "SB", Model: "sc"})
+	j.submit("job-000001", JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}})
 	if degraded, why := j.degradedState(); !degraded || why != "disk full (ENOSPC)" {
 		t.Fatalf("after injected ENOSPC: degraded=%v why=%q, want true / disk full (ENOSPC)", degraded, why)
 	}
@@ -43,7 +44,7 @@ func TestJournalDegradedRecovery(t *testing.T) {
 		t.Fatal("the failed append must still land in the live map (in-memory journal)")
 	}
 
-	j.submit("job-000002", SubmitRequest{Test: "MP", Model: "sc"})
+	j.submit("job-000002", JobSpec{Test: "MP", Spec: backend.Spec{Model: "sc"}})
 	if degraded, _ := j.degradedState(); degraded {
 		t.Fatal("a clean append must clear the degraded state")
 	}
@@ -65,7 +66,7 @@ func TestReadyzReportsJournalDegraded(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, JournalDir: t.TempDir(), ChaosPlan: plan})
 	defer s.Shutdown(context.Background())
 
-	v, err := s.Submit(SubmitRequest{Program: mustTest(t, "SB"), Model: "sc", Test: "SB"})
+	v, err := s.Submit(SubmitRequest{Program: mustTest(t, "SB"), JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -10,8 +9,6 @@ import (
 	"time"
 
 	"hmc/internal/core"
-	"hmc/internal/litmus"
-	"hmc/internal/prog"
 )
 
 // CrashArtifact is a self-contained repro of an engine failure: everything
@@ -32,44 +29,19 @@ type CrashArtifact struct {
 	Time        time.Time `json:"time"`
 	Program     string    `json:"program"`
 	Fingerprint string    `json:"fingerprint"`
-	Model       string    `json:"model"`
 
-	// Exactly one of Source/Test is set when the submission carried one;
-	// ProgramDump is always set (human-readable, not machine-replayable).
-	Source      string `json:"source,omitempty"`
-	Test        string `json:"test,omitempty"`
+	// JobSpec is the job as it ran: the model, the exploration bounds
+	// and the effective timeout, plus the litmus source or corpus test
+	// name when the submission carried one (its BuildProgram rebuilds
+	// the program). ProgramDump is always set (human-readable, not
+	// machine-replayable).
+	JobSpec
 	ProgramDump string `json:"program_dump"`
-
-	// The exploration bounds in force when the engine died.
-	MaxExecutions int   `json:"max_executions,omitempty"`
-	MaxEvents     int   `json:"max_events,omitempty"`
-	MemoryBudget  int64 `json:"memory_budget,omitempty"`
-	Workers       int   `json:"workers,omitempty"`
-	Symmetry      bool  `json:"symmetry,omitempty"`
-	TimeoutMS     int64 `json:"timeout_ms,omitempty"`
-	Attempts      int   `json:"attempts"`
+	Attempts    int    `json:"attempts"`
 
 	Panic string     `json:"panic"`
 	Stack string     `json:"stack"`
 	Stats core.Stats `json:"stats"`
-}
-
-// BuildProgram reconstructs the crashing program for replay: from the
-// litmus source when the artifact has one, else from the named corpus
-// test. Artifacts of programs submitted through the library API carry only
-// a textual dump and cannot be rebuilt.
-func (a *CrashArtifact) BuildProgram() (*prog.Program, error) {
-	switch {
-	case a.Source != "":
-		return litmus.Parse(a.Source)
-	case a.Test != "":
-		tc, ok := litmus.ByName(a.Test)
-		if !ok {
-			return nil, fmt.Errorf("crash artifact: unknown corpus test %q", a.Test)
-		}
-		return tc.P, nil
-	}
-	return nil, errors.New("crash artifact: no litmus source or test name; program dump is not replayable")
 }
 
 // LoadCrashArtifact reads one artifact file written by the service.

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hmc/internal/backend"
 	"hmc/internal/core"
 	"hmc/internal/gen"
 	"hmc/internal/litmus"
@@ -52,11 +53,11 @@ func TestEngineCrashIsolated(t *testing.T) {
 	bad := corruptProgram(t, 1)
 	mp, _ := litmus.ByName("MP")
 
-	badView, err := s.Submit(SubmitRequest{Program: bad, Model: "tso", Test: "MP"})
+	badView, err := s.Submit(SubmitRequest{Program: bad, JobSpec: JobSpec{Test: "MP", Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodView, err := s.Submit(SubmitRequest{Program: mp.P, Model: "tso"})
+	goodView, err := s.Submit(SubmitRequest{Program: mp.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +116,14 @@ func TestEngineErrorNeverCached(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	bad := corruptProgram(t, 2)
-	first, err := s.Submit(SubmitRequest{Program: bad, Model: "sc"})
+	first, err := s.Submit(SubmitRequest{Program: bad, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if waitState(t, s, first.ID).State != StateFailed {
 		t.Fatal("corrupted job must fail")
 	}
-	second, err := s.Submit(SubmitRequest{Program: bad, Model: "sc"})
+	second, err := s.Submit(SubmitRequest{Program: bad, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestCrashDirBounded(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	for i := int64(0); i < 6; i++ {
-		v, err := s.Submit(SubmitRequest{Program: corruptProgram(t, 10+i), Model: "sc"})
+		v, err := s.Submit(SubmitRequest{Program: corruptProgram(t, 10+i), JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func TestCrashCaptureDisabled(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, CrashDir: t.TempDir(), MaxCrashArtifacts: -1})
 	defer s.Shutdown(context.Background())
 
-	v, err := s.Submit(SubmitRequest{Program: corruptProgram(t, 3), Model: "sc"})
+	v, err := s.Submit(SubmitRequest{Program: corruptProgram(t, 3), JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,24 +183,24 @@ func TestCircuitBreaker(t *testing.T) {
 
 	bad := corruptProgram(t, 4)
 	for i := 0; i < 2; i++ {
-		v, err := s.Submit(SubmitRequest{Program: bad, Model: "sc"})
+		v, err := s.Submit(SubmitRequest{Program: bad, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 		if err != nil {
 			t.Fatalf("submit %d before the breaker trips: %v", i, err)
 		}
 		waitState(t, s, v.ID)
 	}
-	if _, err := s.Submit(SubmitRequest{Program: bad, Model: "sc"}); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := s.Submit(SubmitRequest{Program: bad, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("third submission of a twice-crashed program: err = %v, want ErrCircuitOpen", err)
 	}
 	// The breaker is per-fingerprint: other programs sail through.
 	other := corruptProgram(t, 5)
-	v, err := s.Submit(SubmitRequest{Program: other, Model: "sc"})
+	v, err := s.Submit(SubmitRequest{Program: other, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatalf("distinct fingerprint must not be rejected: %v", err)
 	}
 	waitState(t, s, v.ID)
 	mp, _ := litmus.ByName("MP")
-	if _, err := s.Submit(SubmitRequest{Program: mp.P, Model: "sc"}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Program: mp.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}}); err != nil {
 		t.Fatalf("healthy program must not be rejected: %v", err)
 	}
 	if got := s.Metrics().BreakerRejected.Load(); got != 1 {
@@ -296,7 +297,7 @@ func TestMemoryBudgetRetries(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	p := gen.SBN(4)
-	v, err := s.Submit(SubmitRequest{Program: p, Model: "sc", MemoryBudget: 1})
+	v, err := s.Submit(SubmitRequest{Program: p, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc", MemoryBudget: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +316,7 @@ func TestMemoryBudgetRetries(t *testing.T) {
 		t.Errorf("hmcd_jobs_retried_total = %d, want 2", got)
 	}
 	// Transient truncation must not be cached: a resubmission runs again.
-	again, err := s.Submit(SubmitRequest{Program: p, Model: "sc", MemoryBudget: 1})
+	again, err := s.Submit(SubmitRequest{Program: p, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc", MemoryBudget: 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestDeterministicTruncationNotRetried(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1, CrashDir: t.TempDir(), MaxAttempts: 3, RetryBackoff: time.Millisecond})
 	defer s.Shutdown(context.Background())
 
-	v, err := s.Submit(SubmitRequest{Program: gen.SBN(4), Model: "sc", MaxExecutions: 2})
+	v, err := s.Submit(SubmitRequest{Program: gen.SBN(4), JobSpec: JobSpec{Spec: backend.Spec{Model: "sc", MaxExecutions: 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +359,7 @@ func TestFailureHTTPPayload(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	v, err := s.Submit(SubmitRequest{Program: corruptProgram(t, 6), Model: "tso"})
+	v, err := s.Submit(SubmitRequest{Program: corruptProgram(t, 6), JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,8 +433,8 @@ func TestWorkerPanicSecondLine(t *testing.T) {
 	j := &Job{
 		id:    "boom",
 		state: StateQueued,
-		req:   SubmitRequest{Program: nil, Model: "sc"},
-		model: mustModel(t, "sc"),
+		req:   SubmitRequest{Program: nil, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}},
+		opts:  core.Options{Model: mustModel(t, "sc")},
 	}
 	s.mu.Lock()
 	s.jobs["boom"] = j

@@ -12,27 +12,11 @@ import (
 	"hmc/internal/litmus"
 	"hmc/internal/memmodel"
 	"hmc/internal/obs"
-	"hmc/internal/prog"
 )
 
 // maxSubmitBytes bounds a submission body; litmus tests are tiny, and the
 // parser is the service's untrusted-input boundary.
 const maxSubmitBytes = 1 << 20
-
-// submitJSON is the wire form of a job submission: either Source (a
-// litmus test in the plain-text format) or Test (a built-in corpus test
-// name) selects the program.
-type submitJSON struct {
-	Source        string `json:"source,omitempty"`
-	Test          string `json:"test,omitempty"`
-	Model         string `json:"model"`
-	MaxExecutions int    `json:"max_executions,omitempty"`
-	MaxEvents     int    `json:"max_events,omitempty"`
-	MemoryBudget  int64  `json:"memory_budget,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
-	Symmetry      bool   `json:"symmetry,omitempty"`
-	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
-}
 
 // jobJSON is the wire form of a job snapshot.
 type jobJSON struct {
@@ -253,50 +237,22 @@ func (s *Service) writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitJSON
+	var req SubmitRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&req.JobSpec); err != nil {
 		s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	var p *prog.Program
-	switch {
-	case req.Source != "" && req.Test != "":
-		s.writeError(w, http.StatusBadRequest, errors.New(`give "source" or "test", not both`))
-		return
-	case req.Source != "":
-		var err error
-		if p, err = litmus.Parse(req.Source); err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("parse: %w", err))
-			return
-		}
-	case req.Test != "":
-		tc, ok := litmus.ByName(req.Test)
-		if !ok {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown corpus test %q", req.Test))
-			return
-		}
-		p = tc.P
-	default:
-		s.writeError(w, http.StatusBadRequest, errors.New(`need a "source" litmus test or a corpus "test" name`))
+	var err error
+	if req.Program, err = req.BuildProgram(); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Model == "" {
 		req.Model = "imm"
 	}
-	view, err := s.Submit(SubmitRequest{
-		Program:       p,
-		Model:         req.Model,
-		MaxExecutions: req.MaxExecutions,
-		MaxEvents:     req.MaxEvents,
-		MemoryBudget:  req.MemoryBudget,
-		Workers:       req.Workers,
-		Symmetry:      req.Symmetry,
-		Timeout:       time.Duration(req.TimeoutMS) * time.Millisecond,
-		Source:        req.Source,
-		Test:          req.Test,
-	})
+	view, err := s.Submit(req)
 	switch {
 	case errors.Is(err, ErrCircuitOpen):
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.BreakerCooldown.Seconds())))

@@ -40,25 +40,18 @@ const (
 	jrecDone       = "done"
 )
 
-// jrec is one journal line. Submit records embed the job's request
-// (litmus source or corpus test name — jobs submitted through the library
+// jrec is one journal line. Submit records embed the job's spec (with a
+// litmus source or corpus test name — jobs submitted through the library
 // API without either are not journaled, as the program cannot be rebuilt
 // on replay); checkpoint records carry the encoded core.Checkpoint; done
-// records carry the terminal state.
+// records carry the terminal state. Every JobSpec key is omitempty, so
+// checkpoint and done records carry none of them.
 type jrec struct {
 	Type   string `json:"type"`
 	Schema int    `json:"schema"`
 	ID     string `json:"id"`
 
-	Source        string `json:"source,omitempty"`
-	Test          string `json:"test,omitempty"`
-	Model         string `json:"model,omitempty"`
-	MaxExecutions int    `json:"max_executions,omitempty"`
-	MaxEvents     int    `json:"max_events,omitempty"`
-	MemoryBudget  int64  `json:"memory_budget,omitempty"`
-	Workers       int    `json:"workers,omitempty"`
-	Symmetry      bool   `json:"symmetry,omitempty"`
-	TimeoutMS     int64  `json:"timeout_ms,omitempty"`
+	JobSpec
 
 	Checkpoint json.RawMessage `json:"checkpoint,omitempty"`
 
@@ -276,23 +269,11 @@ func (j *journal) maxLiveID() int {
 }
 
 // submit journals an accepted job.
-func (j *journal) submit(id string, req SubmitRequest) {
-	if req.Source == "" && req.Test == "" {
+func (j *journal) submit(id string, js JobSpec) {
+	if js.Source == "" && js.Test == "" {
 		return // not rebuildable on replay; see jrec
 	}
-	j.append(jrec{
-		Type:          jrecSubmit,
-		ID:            id,
-		Source:        req.Source,
-		Test:          req.Test,
-		Model:         req.Model,
-		MaxExecutions: req.MaxExecutions,
-		MaxEvents:     req.MaxEvents,
-		MemoryBudget:  req.MemoryBudget,
-		Workers:       req.Workers,
-		Symmetry:      req.Symmetry,
-		TimeoutMS:     req.Timeout.Milliseconds(),
-	})
+	j.append(jrec{Type: jrecSubmit, ID: id, JobSpec: js})
 }
 
 // checkpoint journals a periodic exploration snapshot. Returns false when

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"hmc/internal/backend"
 	"hmc/internal/core"
 	"hmc/internal/litmus"
 	"hmc/internal/memmodel"
@@ -34,12 +35,10 @@ func submitSource(t *testing.T, s *Service, src, model string, maxExecs int) Job
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	v, err := s.Submit(SubmitRequest{
-		Program:       p,
-		Model:         model,
-		MaxExecutions: maxExecs,
-		Source:        src,
-	})
+	v, err := s.Submit(SubmitRequest{Program: p, JobSpec: JobSpec{
+		Source: src,
+		Spec:   backend.Spec{Model: model, MaxExecutions: maxExecs},
+	}})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -58,10 +57,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	if stats.liveJobs != 0 || stats.skipped != 0 {
 		t.Fatalf("fresh journal reports %+v", stats)
 	}
-	req := SubmitRequest{Test: "SB", Model: "sc"}
+	req := JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}}
 	j.submit("job-000001", req)
 	j.submit("job-000002", req)
-	j.submit("job-000003", SubmitRequest{Model: "sc"}) // no Source/Test: not journaled
+	j.submit("job-000003", JobSpec{Spec: backend.Spec{Model: "sc"}}) // no Source/Test: not journaled
 	cp := &core.Checkpoint{Version: core.CheckpointVersion, Schema: core.SchemaVersion, Model: "sc"}
 	if !j.checkpoint("job-000002", cp) {
 		t.Fatal("checkpoint append refused")
@@ -98,7 +97,7 @@ func TestJournalSkipsTornAndForeignRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.submit("job-000001", SubmitRequest{Test: "SB", Model: "sc"})
+	j.submit("job-000001", JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}})
 	j.close()
 
 	// Corrupt the journal the way a crash mid-append would: a torn final
@@ -107,7 +106,7 @@ func TestJournalSkipsTornAndForeignRecords(t *testing.T) {
 	if err != nil || len(files) != 1 {
 		t.Fatalf("journal files = %v (%v)", files, err)
 	}
-	foreign, _ := json.Marshal(jrec{Type: jrecSubmit, Schema: core.SchemaVersion + 1, ID: "job-000009", Test: "LB"})
+	foreign, _ := json.Marshal(jrec{Type: jrecSubmit, Schema: core.SchemaVersion + 1, ID: "job-000009", JobSpec: JobSpec{Test: "LB"}})
 	f, err := os.OpenFile(files[0], os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +136,7 @@ func TestJournalRotationCompacts(t *testing.T) {
 	}
 	for i := 1; i <= 40; i++ {
 		id := fmt.Sprintf("job-%06d", i)
-		j.submit(id, SubmitRequest{Test: "SB", Model: "sc"})
+		j.submit(id, JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}})
 		if i != 7 { // keep one job live across every rotation
 			j.done(id, StateDone)
 		}
@@ -302,7 +301,7 @@ func TestVerdictCachePersists(t *testing.T) {
 
 	s := mustNew(t, cfg)
 	sb, _ := litmus.ByName("SB")
-	v, err := s.Submit(SubmitRequest{Program: sb.P, Model: "sc", Test: "SB"})
+	v, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +318,7 @@ func TestVerdictCachePersists(t *testing.T) {
 	if got := s2.Metrics().VerdictsReloaded.Load(); got < 1 {
 		t.Fatalf("VerdictsReloaded = %d, want >= 1", got)
 	}
-	v2, err := s2.Submit(SubmitRequest{Program: sb.P, Model: "sc", Test: "SB"})
+	v2, err := s2.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,5 +348,44 @@ func TestVerdictFileSchemaMismatchDropped(t *testing.T) {
 	}
 	if s.cache.len() != 0 {
 		t.Fatalf("cache has %d entries, want 0", s.cache.len())
+	}
+}
+
+// TestJournalReplayUnbuildableJobFails: a journaled job whose program no
+// longer builds (here, a corpus test this binary does not have) is
+// recorded as failed, stays pollable, and is journaled done so the next
+// start does not replay it again.
+func TestJournalReplayUnbuildableJobFails(t *testing.T) {
+	dir := t.TempDir()
+	rec := fmt.Sprintf(`{"type":"submit","schema":%d,"id":"job-000001","test":"no-such-test","model":"tso"}`+"\n", core.SchemaVersion)
+	if err := os.WriteFile(filepath.Join(dir, "journal-000000001.jsonl"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Workers: 1, JournalDir: dir, CrashDir: filepath.Join(dir, "crashes")}
+	s := mustNew(t, cfg)
+	for deadline := time.Now().Add(30 * time.Second); !s.Ready(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("service never became ready")
+		}
+	}
+	v, ok := s.Get("job-000001")
+	if !ok || v.State != StateFailed || !strings.Contains(v.Err, `unknown corpus test "no-such-test"`) {
+		t.Fatalf("unbuildable replay: ok=%v state=%s err=%q", ok, v.State, v.Err)
+	}
+	if len(s.Jobs()) != 1 {
+		t.Fatalf("Jobs() = %d views, want 1", len(s.Jobs()))
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustNew(t, cfg)
+	defer s2.Shutdown(context.Background())
+	for deadline := time.Now().Add(30 * time.Second); !s2.Ready(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("restarted service never became ready")
+		}
+	}
+	if _, ok := s2.Get("job-000001"); ok {
+		t.Fatal("the failed job was replayed again after a restart")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hmc/internal/backend"
 	"hmc/internal/litmus"
 )
 
@@ -62,14 +63,14 @@ func TestEvictedVerdictNotServedAfterReload(t *testing.T) {
 
 	sb, _ := litmus.ByName("SB")
 	mp, _ := litmus.ByName("MP")
-	v, err := s.Submit(SubmitRequest{Program: sb.P, Model: "sc", Test: "SB"})
+	v, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v = waitState(t, s, v.ID); v.State != StateDone {
 		t.Fatalf("SB: %s (%s)", v.State, v.Err)
 	}
-	if v, err = s.Submit(SubmitRequest{Program: mp.P, Model: "sc", Test: "MP"}); err != nil {
+	if v, err = s.Submit(SubmitRequest{Program: mp.P, JobSpec: JobSpec{Test: "MP", Spec: backend.Spec{Model: "sc"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if v = waitState(t, s, v.ID); v.State != StateDone {
@@ -87,13 +88,13 @@ func TestEvictedVerdictNotServedAfterReload(t *testing.T) {
 	if got := s2.Metrics().VerdictsReloaded.Load(); got != 1 {
 		t.Errorf("VerdictsReloaded = %d, want 1 (only the surviving entry persists)", got)
 	}
-	if v, err = s2.Submit(SubmitRequest{Program: mp.P, Model: "sc", Test: "MP"}); err != nil {
+	if v, err = s2.Submit(SubmitRequest{Program: mp.P, JobSpec: JobSpec{Test: "MP", Spec: backend.Spec{Model: "sc"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if !v.CacheHit {
 		t.Error("MP survived the eviction and the restart: must be a cache hit")
 	}
-	if v, err = s2.Submit(SubmitRequest{Program: sb.P, Model: "sc", Test: "SB"}); err != nil {
+	if v, err = s2.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}}}); err != nil {
 		t.Fatal(err)
 	}
 	if v.CacheHit {

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"hmc/internal/backend"
 	"hmc/internal/core"
@@ -21,6 +22,10 @@ func (e *disagreementError) Error() string {
 	return fmt.Sprintf("service: backend disagreement (%s vs %s): %s — verdict quarantined, not served",
 		d.Winner.Backend, d.Dissenter.Backend, d.Diff)
 }
+
+// portfolioBackendTimeout is the per-run deadline for the non-anchor
+// backends; the anchor is bounded only by the job.
+const portfolioBackendTimeout = 30 * time.Second
 
 // alternateBackends returns the non-anchor engines of the portfolio:
 // injected mocks in tests, the standard axiomatic + operational pair
@@ -50,8 +55,7 @@ func (s *Service) explorePortfolio(ctx context.Context, j *Job, copts core.Optio
 	}
 	pf := backend.NewPortfolio(backend.PortfolioOptions{
 		Backends:       append([]backend.Backend{anchor}, s.alternateBackends()...),
-		BackendTimeout: s.cfg.PortfolioBackendTimeout,
-		Grace:          s.cfg.PortfolioGrace,
+		BackendTimeout: portfolioBackendTimeout,
 		OnWinner: func(v *backend.Verdict) {
 			// Surfaced immediately for job polls; the terminal commit still
 			// waits for the cross-checkers.
@@ -60,14 +64,7 @@ func (s *Service) explorePortfolio(ctx context.Context, j *Job, copts core.Optio
 			s.mu.Unlock()
 		},
 	})
-	out, err := pf.Run(ctx, j.req.Program, backend.Spec{
-		Model:         j.req.Model,
-		MaxExecutions: j.req.MaxExecutions,
-		MaxEvents:     j.req.MaxEvents,
-		MemoryBudget:  j.req.MemoryBudget,
-		Workers:       j.req.Workers,
-		Symmetry:      j.req.Symmetry,
-	})
+	out, err := pf.Run(ctx, j.req.Program, j.req.Spec)
 	if out != nil {
 		s.recordAttestation(j, out)
 	}

@@ -49,7 +49,7 @@ func TestPortfolioDisagreementQuarantines(t *testing.T) {
 	s.alternates = []backend.Backend{&wrongBackend{name: "liar"}}
 
 	sb, _ := litmus.ByName("SB")
-	v, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso", Test: "SB"})
+	v, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestPortfolioDisagreementQuarantines(t *testing.T) {
 
 	// NOT cached: an identical resubmission must miss the cache and run
 	// (and quarantine) again rather than serve the poisoned verdict.
-	second, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso", Test: "SB"})
+	second, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestPortfolioDisagreementQuarantines(t *testing.T) {
 
 	// Two disagreements reach BreakerThreshold: the fingerprint is now
 	// circuit-broken.
-	if _, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso", Test: "SB"}); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "tso"}}}); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("breaker should reject the third submission, got %v", err)
 	}
 
@@ -135,13 +135,13 @@ func TestPortfolioAgreementServesAnchorResult(t *testing.T) {
 	defer port.Shutdown(context.Background())
 
 	sb, _ := litmus.ByName("SB")
-	want, err := legacy.Submit(SubmitRequest{Program: sb.P, Model: "tso"})
+	want, err := legacy.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want = waitState(t, legacy, want.ID)
 
-	got, err := port.Submit(SubmitRequest{Program: sb.P, Model: "tso"})
+	got, err := port.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestPortfolioAgreementServesAnchorResult(t *testing.T) {
 	}
 
 	// Agreement IS cacheable.
-	again, err := port.Submit(SubmitRequest{Program: sb.P, Model: "tso"})
+	again, err := port.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestQuarantineMetricsRendered(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	sb, _ := litmus.ByName("SB")
-	v, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso"})
+	v, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}

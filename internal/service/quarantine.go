@@ -8,7 +8,6 @@ import (
 
 	"hmc/internal/backend"
 	"hmc/internal/core"
-	"hmc/internal/prog"
 )
 
 // quarantineKind tags disagreement artifacts (the Kind field and the file
@@ -31,12 +30,10 @@ type QuarantineArtifact struct {
 	Time        time.Time `json:"time"`
 	Program     string    `json:"program"`
 	Fingerprint string    `json:"fingerprint"`
-	Model       string    `json:"model"`
 
-	// Exactly one of Source/Test is set when the submission carried one;
-	// ProgramDump is always set (human-readable, not machine-replayable).
-	Source      string `json:"source,omitempty"`
-	Test        string `json:"test,omitempty"`
+	// JobSpec and ProgramDump are the disputed job, exactly as in
+	// CrashArtifact.
+	JobSpec
 	ProgramDump string `json:"program_dump"`
 
 	// Diff names the first divergence; Winner and Dissenter are the two
@@ -45,13 +42,6 @@ type QuarantineArtifact struct {
 	Winner    *backend.Verdict  `json:"winner"`
 	Dissenter *backend.Verdict  `json:"dissenter"`
 	Attempts  []backend.Attempt `json:"attempts"`
-}
-
-// BuildProgram reconstructs the disputed program for replay, from the
-// litmus source or the named corpus test.
-func (a *QuarantineArtifact) BuildProgram() (*prog.Program, error) {
-	c := CrashArtifact{Source: a.Source, Test: a.Test}
-	return c.BuildProgram()
 }
 
 // LoadQuarantineArtifact reads one disagreement artifact written by the
@@ -99,9 +89,7 @@ func (s *Service) buildQuarantine(j *Job, out *backend.Outcome) *QuarantineArtif
 		Time:        time.Now().UTC(),
 		Program:     j.req.Program.Name,
 		Fingerprint: j.fingerprint,
-		Model:       j.req.Model,
-		Source:      j.req.Source,
-		Test:        j.req.Test,
+		JobSpec:     j.req.JobSpec,
 		ProgramDump: j.req.Program.String(),
 		Diff:        d.Diff,
 		Winner:      d.Winner,

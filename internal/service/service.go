@@ -30,7 +30,6 @@ import (
 	"hmc/internal/core"
 	"hmc/internal/faultinject"
 	"hmc/internal/litmus"
-	"hmc/internal/memmodel"
 	"hmc/internal/obs"
 	"hmc/internal/prog"
 )
@@ -107,14 +106,9 @@ type Config struct {
 	// non-resumed job and cross-attests the verdicts. The DFS anchor still
 	// produces the served result — behavior is identical to the
 	// single-engine path — but a confirmed disagreement quarantines the
-	// job instead of serving either answer.
+	// job instead of serving either answer. Each non-anchor backend gets
+	// 30s per run and backend.DefaultGrace after the winner lands.
 	Portfolio bool
-	// PortfolioBackendTimeout is the per-run deadline for the non-anchor
-	// backends (default 30s; the anchor is bounded only by the job).
-	PortfolioBackendTimeout time.Duration
-	// PortfolioGrace bounds how long losing backends keep cross-checking
-	// after a win (0 = backend.DefaultGrace; negative cancels immediately).
-	PortfolioGrace time.Duration
 	// QuarantineDir is where disagreement artifacts are written (default
 	// "hmcd-quarantine"); MaxQuarantineArtifacts bounds the directory
 	// (default 32, oldest evicted; negative disables capture).
@@ -162,9 +156,6 @@ func (c Config) withDefaults() Config {
 	if c.ProgressEvery == 0 {
 		c.ProgressEvery = core.DefaultProgressEvery
 	}
-	if c.PortfolioBackendTimeout == 0 {
-		c.PortfolioBackendTimeout = 30 * time.Second
-	}
 	if c.QuarantineDir == "" {
 		c.QuarantineDir = "hmcd-quarantine"
 	}
@@ -195,28 +186,41 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled || s == StateQuarantined
 }
 
-// SubmitRequest describes one checking job.
+// JobSpec is one checking job as it travels: the HTTP submit body, the
+// journal's submit record and the job part of crash and quarantine
+// artifacts all are this type, under the same JSON keys.
+type JobSpec struct {
+	// Source or Test names the program: litmus text or a corpus test
+	// name (see litmus.Resolve).
+	Source string `json:"source,omitempty"`
+	Test   string `json:"test,omitempty"`
+	// Spec is the memory model (required; see memmodel.Names) and the
+	// exploration bounds.
+	backend.Spec
+	// TimeoutMS is the job's wall-clock budget in milliseconds (0:
+	// Config.DefaultTimeout). A job that exceeds it completes with a
+	// partial, Interrupted result.
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
+}
+
+// BuildProgram builds the program the spec names.
+func (js JobSpec) BuildProgram() (*prog.Program, error) {
+	return litmus.Resolve(js.Source, js.Test)
+}
+
+// timeout is the requested wall-clock budget (0: none requested).
+func (js JobSpec) timeout() time.Duration {
+	return time.Duration(js.TimeoutMS) * time.Millisecond
+}
+
+// SubmitRequest describes one checking job: the program to check
+// (required) and its spec. Source/Test in the spec record how the program
+// was submitted; either makes the job journaled and its crash artifact
+// replayable with `hmc -repro`. Library callers passing a built Program
+// may leave both empty, at the cost of dump-only artifacts.
 type SubmitRequest struct {
-	// Program is the test case to check (required).
 	Program *prog.Program
-	// Model names the memory model (required; see memmodel.Names).
-	Model string
-	// MaxExecutions, MaxEvents, MemoryBudget, Workers, Symmetry mirror
-	// core.Options.
-	MaxExecutions int
-	MaxEvents     int
-	MemoryBudget  int64
-	Workers       int
-	Symmetry      bool
-	// Timeout is the job's wall-clock budget (0: Config.DefaultTimeout).
-	// A job that exceeds it completes with a partial, Interrupted result.
-	Timeout time.Duration
-	// Source/Test record how the program was submitted (litmus text or a
-	// corpus test name); either makes a crash artifact replayable with
-	// `hmc -repro`. Optional — library callers passing a built Program may
-	// leave both empty, at the cost of dump-only artifacts.
-	Source string
-	Test   string
+	JobSpec
 }
 
 // Submission errors.
@@ -231,7 +235,8 @@ type Job struct {
 	id          string
 	state       JobState
 	req         SubmitRequest
-	model       memmodel.Model
+	opts        core.Options  // the explorer options req's spec resolves to
+	timeout     time.Duration // effective deadline (0: none)
 	fingerprint string
 	cacheKey    string
 	cacheHit    bool
@@ -322,13 +327,17 @@ type JobView struct {
 }
 
 func (j *Job) view() JobView {
+	var name, existsDesc string
+	if p := j.req.Program; p != nil { // nil: a journaled job that no longer builds
+		name, existsDesc = p.Name, p.ExistsDesc
+	}
 	return JobView{
 		ID:            j.id,
 		State:         j.state,
-		Program:       j.req.Program.Name,
+		Program:       name,
 		Fingerprint:   j.fingerprint,
 		Model:         j.req.Model,
-		ExistsDesc:    j.req.Program.ExistsDesc,
+		ExistsDesc:    existsDesc,
 		CacheHit:      j.cacheHit,
 		Submitted:     j.submitted,
 		Started:       j.started,
@@ -458,45 +467,22 @@ func New(cfg Config) (*Service, error) {
 // so it is not replayed forever. A checkpoint that no longer decodes or
 // matches is dropped: the job runs fresh rather than not at all.
 func (s *Service) replayJob(jj *journalJob) {
-	rec := jj.submit
-	req := SubmitRequest{
-		Model:         rec.Model,
-		MaxExecutions: rec.MaxExecutions,
-		MaxEvents:     rec.MaxEvents,
-		MemoryBudget:  rec.MemoryBudget,
-		Workers:       rec.Workers,
-		Symmetry:      rec.Symmetry,
-		Timeout:       time.Duration(rec.TimeoutMS) * time.Millisecond,
-		Source:        rec.Source,
-		Test:          rec.Test,
-	}
-	var buildErr error
-	switch {
-	case rec.Source != "":
-		req.Program, buildErr = litmus.Parse(rec.Source)
-	case rec.Test != "":
-		tc, ok := litmus.ByName(rec.Test)
-		if !ok {
-			buildErr = fmt.Errorf("service: journal replay: unknown corpus test %q", rec.Test)
-		} else {
-			req.Program = tc.P
-		}
-	}
-	var model memmodel.Model
-	if buildErr == nil {
-		model, buildErr = memmodel.ByName(rec.Model)
-	}
+	req := SubmitRequest{JobSpec: jj.submit.JobSpec}
 	j := &Job{
-		id:        rec.ID,
+		id:        jj.submit.ID,
 		state:     StateQueued,
-		req:       req,
-		model:     model,
+		timeout:   req.timeout(),
 		submitted: time.Now(),
 	}
+	var buildErr error
+	if req.Program, buildErr = req.BuildProgram(); buildErr == nil {
+		j.opts, buildErr = req.Options()
+	}
+	j.req = req
 	if buildErr != nil {
 		s.mu.Lock()
 		j.state = StateFailed
-		j.errMsg = buildErr.Error()
+		j.errMsg = "service: journal replay: " + buildErr.Error()
 		j.finished = time.Now()
 		s.jobs[j.id] = j
 		s.metrics.JobsFailed.Add(1)
@@ -506,7 +492,7 @@ func (s *Service) replayJob(jj *journalJob) {
 		return
 	}
 	j.fingerprint = req.Program.Fingerprint()
-	j.cacheKey = cacheKey(j.fingerprint, req)
+	j.cacheKey = cacheKey(j.fingerprint, req.Spec)
 	if cp, err := core.DecodeCheckpoint(jj.checkpoint); err == nil && len(jj.checkpoint) > 0 {
 		j.resumeFrom = cp
 		j.resumed = true
@@ -591,8 +577,8 @@ func (s *Service) QueueDepth() int { return len(s.queue) }
 // MemoryBudget is deliberately excluded: a memory-truncated result is
 // transient and never cached (see runJob), and an untruncated run under a
 // budget equals the unbudgeted run.
-func cacheKey(fp string, req SubmitRequest) string {
-	return fmt.Sprintf("%s|%s|max=%d|maxev=%d|symm=%v", fp, req.Model, req.MaxExecutions, req.MaxEvents, req.Symmetry)
+func cacheKey(fp string, spec backend.Spec) string {
+	return fmt.Sprintf("%s|%s|max=%d|maxev=%d|symm=%v", fp, spec.Model, spec.MaxExecutions, spec.MaxEvents, spec.Symmetry)
 }
 
 // Submit validates req, answers it from the verdict cache when possible,
@@ -602,19 +588,22 @@ func (s *Service) Submit(req SubmitRequest) (JobView, error) {
 	if req.Program == nil {
 		return JobView{}, errors.New("service: request has no program")
 	}
-	model, err := memmodel.ByName(req.Model)
+	opts, err := req.Options()
 	if err != nil {
 		return JobView{}, err
 	}
 	if err := req.Program.Validate(); err != nil {
 		return JobView{}, err
 	}
-	if req.Timeout <= 0 {
-		req.Timeout = s.cfg.DefaultTimeout
+	timeout := req.timeout()
+	if timeout <= 0 {
+		timeout = s.cfg.DefaultTimeout
 	}
-	if s.cfg.MaxTimeout > 0 && (req.Timeout <= 0 || req.Timeout > s.cfg.MaxTimeout) {
-		req.Timeout = s.cfg.MaxTimeout
+	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
+		timeout = s.cfg.MaxTimeout
 	}
+	// The journal and crash artifacts record the effective deadline.
+	req.TimeoutMS = timeout.Milliseconds()
 	fp := req.Program.Fingerprint()
 
 	// Static analysis is cheap (one pass over a litmus-sized program) and
@@ -642,9 +631,10 @@ func (s *Service) Submit(req SubmitRequest) (JobView, error) {
 		id:          fmt.Sprintf("job-%06d", s.nextID),
 		state:       StateQueued,
 		req:         req,
-		model:       model,
+		opts:        opts,
+		timeout:     timeout,
 		fingerprint: fp,
-		cacheKey:    cacheKey(fp, req),
+		cacheKey:    cacheKey(fp, req.Spec),
 		diagnostics: diags,
 		submitted:   time.Now(),
 	}
@@ -675,7 +665,7 @@ func (s *Service) Submit(req SubmitRequest) (JobView, error) {
 	// Journal the accepted job before answering (the fsync is the
 	// durability point), outside s.mu so disk latency never blocks polls.
 	if s.journal != nil {
-		s.journal.submit(j.id, req)
+		s.journal.submit(j.id, req.JobSpec)
 	}
 	return view, nil
 }
@@ -783,18 +773,11 @@ func (s *Service) runJob(j *Job) {
 
 	// explore runs one attempt.
 	explore := func(ctx context.Context) (*core.Result, error) {
-		copts := core.Options{
-			Model:         j.model,
-			Context:       ctx,
-			MaxExecutions: j.req.MaxExecutions,
-			MaxEvents:     j.req.MaxEvents,
-			MemoryBudget:  j.req.MemoryBudget,
-			Workers:       j.req.Workers,
-			Symmetry:      j.req.Symmetry,
-			ResumeFrom:    j.resumeFrom,
-			Checkpoint:    ckptOpts,
-			Progress:      progOpts,
-		}
+		copts := j.opts
+		copts.Context = ctx
+		copts.ResumeFrom = j.resumeFrom
+		copts.Checkpoint = ckptOpts
+		copts.Progress = progOpts
 		// The portfolio covers plain one-explorer runs; a job resuming
 		// from a checkpoint (journal replay, memory-budget retry) covers a
 		// prefix no other engine can reproduce, so it runs the DFS alone.
@@ -809,8 +792,8 @@ func (s *Service) runJob(j *Job) {
 	for attempt := 1; ; attempt++ {
 		ctx := context.Background()
 		var cancel context.CancelFunc
-		if j.req.Timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, j.req.Timeout)
+		if j.timeout > 0 {
+			ctx, cancel = context.WithTimeout(ctx, j.timeout)
 		} else {
 			ctx, cancel = context.WithCancel(ctx)
 		}
@@ -1029,25 +1012,17 @@ func (s *Service) killForTest() {
 // buildArtifact assembles the crash repro for a failed job.
 func (s *Service) buildArtifact(j *Job, ee *core.EngineError) *CrashArtifact {
 	return &CrashArtifact{
-		Schema:        core.SchemaVersion,
-		JobID:         j.id,
-		Time:          time.Now().UTC(),
-		Program:       j.req.Program.Name,
-		Fingerprint:   j.fingerprint,
-		Model:         j.req.Model,
-		Source:        j.req.Source,
-		Test:          j.req.Test,
-		ProgramDump:   j.req.Program.String(),
-		MaxExecutions: j.req.MaxExecutions,
-		MaxEvents:     j.req.MaxEvents,
-		MemoryBudget:  j.req.MemoryBudget,
-		Workers:       j.req.Workers,
-		Symmetry:      j.req.Symmetry,
-		TimeoutMS:     j.req.Timeout.Milliseconds(),
-		Attempts:      j.attempts,
-		Panic:         fmt.Sprint(ee.PanicValue),
-		Stack:         ee.Stack,
-		Stats:         ee.Stats,
+		Schema:      core.SchemaVersion,
+		JobID:       j.id,
+		Time:        time.Now().UTC(),
+		Program:     j.req.Program.Name,
+		Fingerprint: j.fingerprint,
+		JobSpec:     j.req.JobSpec,
+		ProgramDump: j.req.Program.String(),
+		Attempts:    j.attempts,
+		Panic:       fmt.Sprint(ee.PanicValue),
+		Stack:       ee.Stack,
+		Stats:       ee.Stats,
 	}
 }
 

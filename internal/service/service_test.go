@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hmc/internal/backend"
 	"hmc/internal/core"
 	"hmc/internal/eg"
 	"hmc/internal/gen"
@@ -49,7 +50,7 @@ func TestSubmitRunsToVerdict(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	mp, _ := litmus.ByName("MP")
-	v, err := s.Submit(SubmitRequest{Program: mp.P, Model: "imm"})
+	v, err := s.Submit(SubmitRequest{Program: mp.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "imm"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,10 +76,10 @@ func TestSubmitValidation(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	mp, _ := litmus.ByName("MP")
-	if _, err := s.Submit(SubmitRequest{Program: nil, Model: "imm"}); err == nil {
+	if _, err := s.Submit(SubmitRequest{Program: nil, JobSpec: JobSpec{Spec: backend.Spec{Model: "imm"}}}); err == nil {
 		t.Error("nil program must be rejected")
 	}
-	if _, err := s.Submit(SubmitRequest{Program: mp.P, Model: "not-a-model"}); err == nil {
+	if _, err := s.Submit(SubmitRequest{Program: mp.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "not-a-model"}}}); err == nil {
 		t.Error("unknown model must be rejected")
 	}
 }
@@ -88,7 +89,7 @@ func TestVerdictCacheHit(t *testing.T) {
 	defer s.Shutdown(context.Background())
 
 	sb, _ := litmus.ByName("SB")
-	first, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso"})
+	first, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestVerdictCacheHit(t *testing.T) {
 	if first.CacheHit {
 		t.Fatal("first submission cannot be a cache hit")
 	}
-	second, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso"})
+	second, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestVerdictCacheHit(t *testing.T) {
 		t.Error("cached result diverges")
 	}
 	// Different model or options must miss.
-	third, err := s.Submit(SubmitRequest{Program: sb.P, Model: "sc"})
+	third, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestDeadlineInterruptsJob(t *testing.T) {
 
 	// inc(4,3) is far too big to finish in 20ms; the deadline must stop
 	// it mid-exploration with partial stats, job state still "done".
-	v, err := s.Submit(SubmitRequest{Program: gen.IncN(4, 3), Model: "sc", Timeout: 20 * time.Millisecond})
+	v, err := s.Submit(SubmitRequest{Program: gen.IncN(4, 3), JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}, TimeoutMS: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestDeadlineInterruptsJob(t *testing.T) {
 		t.Error("interrupted counter not bumped")
 	}
 	// Interrupted results must not poison the cache.
-	again, err := s.Submit(SubmitRequest{Program: gen.IncN(4, 3), Model: "sc", Timeout: 20 * time.Millisecond})
+	again, err := s.Submit(SubmitRequest{Program: gen.IncN(4, 3), JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}, TimeoutMS: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestCancelRunningJob(t *testing.T) {
 	s := mustNew(t, Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 
-	v, err := s.Submit(SubmitRequest{Program: gen.IncN(4, 3), Model: "sc"})
+	v, err := s.Submit(SubmitRequest{Program: gen.IncN(4, 3), JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	// One long job occupies the worker, a second fills the queue slot,
 	// and the third must bounce.
 	big := gen.IncN(4, 3)
-	first, err := s.Submit(SubmitRequest{Program: big, Model: "sc"})
+	first, err := s.Submit(SubmitRequest{Program: big, JobSpec: JobSpec{Spec: backend.Spec{Model: "sc"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +221,10 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := s.Submit(SubmitRequest{Program: big, Model: "tso"}); err != nil {
+	if _, err := s.Submit(SubmitRequest{Program: big, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(SubmitRequest{Program: big, Model: "pso"}); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit(SubmitRequest{Program: big, JobSpec: JobSpec{Spec: backend.Spec{Model: "pso"}}}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("want ErrQueueFull, got %v", err)
 	}
 	if s.Metrics().JobsRejected.Load() == 0 {
@@ -236,7 +237,7 @@ func TestShutdownDrainsQueuedJobs(t *testing.T) {
 	sb, _ := litmus.ByName("SB")
 	ids := make([]string, 0, 8)
 	for i := 0; i < 8; i++ {
-		v, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso"})
+		v, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +252,7 @@ func TestShutdownDrainsQueuedJobs(t *testing.T) {
 			t.Errorf("job %s not drained to done: %+v", id, v)
 		}
 	}
-	if _, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso"}); !errors.Is(err, ErrDraining) {
+	if _, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}}); !errors.Is(err, ErrDraining) {
 		t.Errorf("post-shutdown submit: want ErrDraining, got %v", err)
 	}
 }
@@ -263,7 +264,7 @@ func TestJobHistoryEviction(t *testing.T) {
 	sb, _ := litmus.ByName("SB")
 	var last string
 	for i := 0; i < 6; i++ {
-		v, err := s.Submit(SubmitRequest{Program: sb.P, Model: "tso"})
+		v, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,7 +334,7 @@ func TestSubmitAttachesDiagnostics(t *testing.T) {
 	t1.Load(x)
 	p := b.MustBuild()
 
-	v, err := s.Submit(SubmitRequest{Program: p, Model: "tso"})
+	v, err := s.Submit(SubmitRequest{Program: p, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
