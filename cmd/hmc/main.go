@@ -17,30 +17,31 @@
 //
 //	hmc -model imm examples/litmusfile/mp.lit
 //	hmc -model tso -test SB
-//	hmc -all -test LB
+//	hmc -model all -test LB
 //	hmc -static -checkdeps -stats -test LB
 //	hmc -timeout 10s -checkpoint run.ckpt -test IRIW
-//	hmc -resume run.ckpt -checkpoint run.ckpt -test IRIW
-//	hmc -progress -progress-every 500ms -model sc -test IRIW
+//	hmc -checkpoint run.ckpt -test IRIW
+//	hmc -progress 500ms -model sc -test IRIW
 //	hmc -trace run.jsonl -model tso -test SB
 //	hmc -workers 2 -stats -model tso -test SB
 //	hmc vet -model tso -foot examples/litmusfile/mp.lit
 //	hmc -repro hmcd-crashes/crash-3f2a91c0aa17-job-000042.json
 //
-// -progress prints a live ticker to stderr (wave, executions, rate, an
-// ETA derived from a quick pre-run estimate) without touching stdout;
-// -trace writes a JSONL exploration trace — one event per wave, revisit,
-// static prune and progress snapshot — for offline analysis.
+// -progress D prints a live ticker to stderr every D (wave, executions,
+// rate, an ETA derived from a quick pre-run estimate) without touching
+// stdout; -trace writes a JSONL exploration trace — one event per wave,
+// revisit, static prune and progress snapshot — for offline analysis.
 //
 // A -timeout'd or -max'd run that stops early writes its final frontier
-// to the -checkpoint file; re-running with -resume picks the exploration
-// up exactly where it stopped (same program, model and bounds required)
-// and, on completion, reports the same counts as an uninterrupted run.
+// to the -checkpoint file; re-running with the same -checkpoint picks the
+// exploration up exactly where it stopped (same program, model and
+// bounds required) and, on completion, reports the same counts as an
+// uninterrupted run and removes the file.
 //
 // -workers N explores independent branches on up to N goroutines over
 // one shared state memo. Verdict and execution counts are identical to
 // -workers 1 — only the wall clock changes — and it composes with
-// -checkpoint/-resume, -progress and -trace.
+// -checkpoint, -progress and -trace.
 //
 // `hmc vet` lints a program without exploring it: the static analysis in
 // internal/analyze reports dead stores, statically-false assertions and
@@ -67,6 +68,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -96,63 +98,81 @@ func main() {
 	}
 }
 
+// options is everything hmc's command line sets.
+type options struct {
+	model, test, repro, dot, checkpoint, trace, backend                    string
+	verbose, showProg, robust, races, live, symm, static, checkDeps, stats bool
+	max, maxEvents, workers, estimate                                      int
+	memBudget                                                              int64
+	timeout, progress                                                      time.Duration
+}
+
+// newFlags defines hmc's flags, each bound to its field of o.
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("hmc", flag.ContinueOnError)
+	fs.StringVar(&o.model, "model", "imm", "memory model: "+fmt.Sprint(memmodel.Names())+", or all to check under every model")
+	fs.StringVar(&o.test, "test", "", "run a built-in corpus test instead of a file")
+	fs.BoolVar(&o.verbose, "v", false, "print every consistent execution graph")
+	fs.IntVar(&o.max, "max", 0, "stop after this many executions (0 = all)")
+	fs.IntVar(&o.maxEvents, "max-events", 0, "prune execution graphs larger than this many events (0 = no cap)")
+	fs.Int64Var(&o.memBudget, "mem-budget", 0, "soft heap budget in bytes; exploration truncates instead of exhausting memory (0 = no budget)")
+	fs.StringVar(&o.repro, "repro", "", "replay a crash artifact written by hmcd and report whether the engine panic reproduces")
+	fs.BoolVar(&o.showProg, "p", false, "print the parsed program")
+	fs.StringVar(&o.dot, "dot", "", "write a witness execution (weak outcome if observable) as Graphviz DOT to this file")
+	fs.BoolVar(&o.robust, "robust", false, "additionally report whether the program is robust (SC-equivalent) under each model")
+	fs.BoolVar(&o.races, "races", false, "report C11 data races on plain accesses (rc11 semantics)")
+	fs.IntVar(&o.workers, "workers", 1, "parallel exploration workers (1 = sequential)")
+	fs.BoolVar(&o.live, "live", false, "check liveness: report awaits that block forever (deadlocks)")
+	fs.BoolVar(&o.symm, "symm", false, "symmetry reduction: explore one representative per orbit of identical threads")
+	fs.BoolVar(&o.static, "static", false, "static-analysis pruning: skip rf/co/revisit work on provably thread-local, single-writer and never-read locations (count-preserving)")
+	fs.BoolVar(&o.checkDeps, "checkdeps", false, "sanitizer: assert every dynamic dependency is covered by the static dependency sets")
+	fs.IntVar(&o.estimate, "estimate", 0, "skip exploration; predict the execution count with this many random probes")
+	fs.BoolVar(&o.stats, "stats", false, "print exploration statistics (states, memo hits, revisits)")
+	fs.DurationVar(&o.timeout, "timeout", 0, "wall-clock budget for each check (0 = none); an interrupted check prints INTERRUPTED with its partial counts")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint exploration to this file (periodically and when interrupted/truncated); if the file exists, resume from it")
+	fs.DurationVar(&o.progress, "progress", 0, "print a live progress ticker (executions, rate, ETA) to stderr at this cadence (0 = off)")
+	fs.StringVar(&o.trace, "trace", "", "write a JSONL exploration trace (waves, revisits, prunes, snapshots) to this file")
+	fs.StringVar(&o.backend, "backend", "dfs", "verdict engine: "+strings.Join(backend.Names(), "|")+" (non-dfs prints a normalized verdict; portfolio races all applicable engines and cross-checks)")
+	return fs
+}
+
+// modelList expands a -model value: one model name, or all of them.
+func modelList(model string) []string {
+	if model == "all" {
+		return memmodel.Names()
+	}
+	return []string{model}
+}
+
 func run(args []string, out io.Writer) error {
 	if len(args) > 0 && args[0] == "vet" {
 		return vet(args[1:], out)
 	}
-	fs := flag.NewFlagSet("hmc", flag.ContinueOnError)
-	model := fs.String("model", "imm", "memory model: "+fmt.Sprint(memmodel.Names()))
-	all := fs.Bool("all", false, "check under every model")
-	testName := fs.String("test", "", "run a built-in corpus test instead of a file")
-	verbose := fs.Bool("v", false, "print every consistent execution graph")
-	maxExec := fs.Int("max", 0, "stop after this many executions (0 = all)")
-	maxEvents := fs.Int("max-events", 0, "prune execution graphs larger than this many events (0 = no cap)")
-	memBudget := fs.Int64("mem-budget", 0, "soft heap budget in bytes; exploration truncates instead of exhausting memory (0 = no budget)")
-	reproPath := fs.String("repro", "", "replay a crash artifact written by hmcd and report whether the engine panic reproduces")
-	showProg := fs.Bool("p", false, "print the parsed program")
-	dotPath := fs.String("dot", "", "write a witness execution (weak outcome if observable) as Graphviz DOT to this file")
-	robust := fs.Bool("robust", false, "additionally report whether the program is robust (SC-equivalent) under each model")
-	races := fs.Bool("races", false, "report C11 data races on plain accesses (rc11 semantics)")
-	workers := fs.Int("workers", 1, "parallel exploration workers (1 = sequential)")
-	live := fs.Bool("live", false, "check liveness: report awaits that block forever (deadlocks)")
-	symm := fs.Bool("symm", false, "symmetry reduction: explore one representative per orbit of identical threads")
-	static := fs.Bool("static", false, "static-analysis pruning: skip rf/co/revisit work on provably thread-local, single-writer and never-read locations (count-preserving)")
-	checkDeps := fs.Bool("checkdeps", false, "sanitizer: assert every dynamic dependency is covered by the static dependency sets")
-	estimate := fs.Int("estimate", 0, "skip exploration; predict the execution count with this many random probes")
-	stats := fs.Bool("stats", false, "print exploration statistics (states, memo hits, revisits)")
-	timeout := fs.Duration("timeout", 0, "wall-clock budget for each check (0 = none); an interrupted check prints INTERRUPTED with its partial counts")
-	ckptPath := fs.String("checkpoint", "", "write exploration checkpoints to this file (periodically and when interrupted/truncated); resume with -resume")
-	ckptEvery := fs.Int("checkpoint-every", 2000, "executions between periodic checkpoints (with -checkpoint)")
-	resumePath := fs.String("resume", "", "resume exploration from a checkpoint file written by -checkpoint")
-	progress := fs.Bool("progress", false, "print a live progress ticker to stderr (executions, rate, ETA)")
-	progressEvery := fs.Duration("progress-every", time.Second, "progress ticker cadence (with -progress)")
-	tracePath := fs.String("trace", "", "write a JSONL exploration trace (waves, revisits, prunes, snapshots) to this file")
-	backendName := fs.String("backend", "dfs", "verdict engine: "+strings.Join(backend.Names(), "|")+" (non-dfs prints a normalized verdict; portfolio races all applicable engines and cross-checks)")
+	var o options
+	fs := newFlags(&o)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ck := ckptConfig{path: *ckptPath, every: *ckptEvery, resume: *resumePath}
-	ob := obsConfig{progress: *progress, every: *progressEvery, trace: *tracePath}
-	if (ck.path != "" || ck.resume != "") && *all {
-		return fmt.Errorf("-checkpoint/-resume work on a single model; drop -all")
+	if o.checkpoint != "" && o.model == "all" {
+		return fmt.Errorf("-checkpoint works on a single model, not -model all")
 	}
 
-	if *reproPath != "" {
-		return repro(out, *reproPath)
+	if o.repro != "" {
+		return repro(out, o.repro)
 	}
-	p, err := loadProgram(fs.Args(), *testName)
+	p, err := loadProgram(fs.Args(), o.test)
 	if err != nil {
 		return err
 	}
-	if *showProg {
+	if o.showProg {
 		fmt.Fprint(out, p)
 	}
 
 	// The timeout budgets each check/analysis individually: one slow
-	// model under -all does not starve the rest of their budget.
+	// model under -model all does not starve the rest of their budget.
 	newCtx := func() (context.Context, context.CancelFunc) {
-		if *timeout > 0 {
-			return context.WithTimeout(context.Background(), *timeout)
+		if o.timeout > 0 {
+			return context.WithTimeout(context.Background(), o.timeout)
 		}
 		return context.Background(), func() {}
 	}
@@ -161,46 +181,38 @@ func run(args []string, out io.Writer) error {
 	specFor := func(model string) backend.Spec {
 		return backend.Spec{
 			Model:         model,
-			MaxExecutions: *maxExec,
-			MaxEvents:     *maxEvents,
-			MemoryBudget:  *memBudget,
-			Workers:       *workers,
-			Symmetry:      *symm,
+			MaxExecutions: o.max,
+			MaxEvents:     o.maxEvents,
+			MemoryBudget:  o.memBudget,
+			Workers:       o.workers,
+			Symmetry:      o.symm,
 		}
 	}
 
-	if *backendName != "dfs" {
+	models := modelList(o.model)
+	if o.backend != "dfs" {
 		// Alternate engines answer through the normalized Verdict, not the
 		// explorer's native result, so the DFS-shaped extras don't compose.
-		if *verbose || *dotPath != "" || *tracePath != "" ||
-			ck.path != "" || ck.resume != "" || ob.progress || *estimate > 0 ||
-			*static || *checkDeps || *races || *live || *robust {
-			return fmt.Errorf("-backend %s prints normalized verdicts; it composes only with -model/-all/-test/-max/-max-events/-mem-budget/-workers/-symm/-timeout/-stats", *backendName)
-		}
-		models := []string{*model}
-		if *all {
-			models = memmodel.Names()
+		if o.verbose || o.dot != "" || o.trace != "" || o.checkpoint != "" || o.progress > 0 ||
+			o.estimate > 0 || o.static || o.checkDeps || o.races || o.live || o.robust {
+			return fmt.Errorf("-backend %s prints normalized verdicts; it composes only with -model/-test/-max/-max-events/-mem-budget/-workers/-symm/-timeout/-stats", o.backend)
 		}
 		for _, name := range models {
-			if err := checkBackend(out, p, specFor(name), *backendName, *stats, newCtx); err != nil {
+			if err := checkBackend(out, p, specFor(name), o.backend, o.stats, newCtx); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	models := []string{*model}
-	if *all {
-		models = memmodel.Names()
-	}
-	if *estimate > 0 {
+	if o.estimate > 0 {
 		for _, name := range models {
 			m, err := memmodel.ByName(name)
 			if err != nil {
 				return err
 			}
 			ctx, cancel := newCtx()
-			est, err := core.Estimate(p, core.Options{Model: m, Context: ctx}, *estimate, 1)
+			est, err := core.Estimate(p, core.Options{Model: m, Context: ctx}, o.estimate, 1)
 			cancel()
 			if err != nil {
 				return err
@@ -214,21 +226,21 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 	for _, name := range models {
-		if err := check(out, p, specFor(name), *verbose, *dotPath, *static, *checkDeps, *stats, ck, ob, newCtx); err != nil {
+		if err := check(out, p, specFor(name), &o, newCtx); err != nil {
 			return err
 		}
-		if *robust {
+		if o.robust {
 			if err := reportRobustness(out, p, name, newCtx); err != nil {
 				return err
 			}
 		}
-		if *live {
+		if o.live {
 			if err := reportLiveness(out, p, name, newCtx); err != nil {
 				return err
 			}
 		}
 	}
-	if *races {
+	if o.races {
 		ctx, cancel := newCtx()
 		defer cancel()
 		rep, err := core.CheckRaces(p, core.Options{Context: ctx})
@@ -478,20 +490,6 @@ func loadProgram(args []string, testName string) (*prog.Program, error) {
 	return litmus.Resolve(string(src), "")
 }
 
-// ckptConfig carries the -checkpoint/-resume flags into check.
-type ckptConfig struct {
-	path   string // write checkpoints here ("" disables)
-	every  int    // executions between periodic checkpoints
-	resume string // resume from this checkpoint file ("" disables)
-}
-
-// obsConfig carries the -progress/-trace flags into check.
-type obsConfig struct {
-	progress bool          // live stderr ticker
-	every    time.Duration // ticker cadence
-	trace    string        // JSONL trace path ("" disables)
-}
-
 // progressTicker renders one snapshot as a stderr line. The ETA comes
 // from a quick silent Estimate run before exploration; it is an upper
 // bound (see core.Estimate), so it shrinks rather than grows.
@@ -508,6 +506,12 @@ func progressTicker(snap obs.ProgressSnapshot) {
 	fmt.Fprintln(progressOut, line)
 }
 
+// resumeError explains a -checkpoint file that cannot resume this run: it
+// was written for another program, model or bounds, or is unreadable.
+func resumeError(path string, err error) error {
+	return fmt.Errorf("checkpoint %s cannot resume this run (%w); delete it or choose another -checkpoint path", path, err)
+}
+
 // writeCheckpointFile writes cp atomically (temp file + rename): a crash
 // mid-write leaves the previous checkpoint intact, never a torn one.
 func writeCheckpointFile(path string, cp *core.Checkpoint) error {
@@ -522,7 +526,7 @@ func writeCheckpointFile(path string, cp *core.Checkpoint) error {
 	return os.Rename(tmp, path)
 }
 
-func check(out io.Writer, p *prog.Program, spec backend.Spec, verbose bool, dotPath string, static, checkDeps, stats bool, ck ckptConfig, ob obsConfig, newCtx func() (context.Context, context.CancelFunc)) error {
+func check(out io.Writer, p *prog.Program, spec backend.Spec, o *options, newCtx func() (context.Context, context.CancelFunc)) error {
 	opts, err := spec.Options()
 	if err != nil {
 		return err
@@ -530,18 +534,18 @@ func check(out io.Writer, p *prog.Program, spec backend.Spec, verbose bool, dotP
 	model := spec.Model
 	ctx, cancel := newCtx()
 	defer cancel()
-	opts.Context, opts.StaticAnalysis, opts.CheckDeps = ctx, static, checkDeps
+	opts.Context, opts.StaticAnalysis, opts.CheckDeps = ctx, o.static, o.checkDeps
 	var tracer *obs.Tracer
 	var traceFile *os.File
-	if ob.trace != "" {
-		traceFile, err = os.Create(ob.trace)
+	if o.trace != "" {
+		traceFile, err = os.Create(o.trace)
 		if err != nil {
 			return err
 		}
 		tracer = obs.NewTracer(traceFile)
 		opts.Trace = tracer
 	}
-	if ob.progress {
+	if o.progress > 0 {
 		// A quick silent probe run seeds the ETA; its failure modes (panic
 		// boundary, over-count on revisit-heavy spaces) cost nothing here —
 		// a zero estimate just means the ticker shows no ETA.
@@ -550,35 +554,36 @@ func check(out io.Writer, p *prog.Program, spec backend.Spec, verbose bool, dotP
 			est = er.Mean
 		}
 		opts.Progress = &core.ProgressOptions{
-			Every:        ob.every,
+			Every:        o.progress,
 			EstimateMean: est,
 			Sink:         progressTicker,
 		}
 	}
-	if ck.resume != "" {
-		data, err := os.ReadFile(ck.resume)
-		if err != nil {
+	if o.checkpoint != "" {
+		// The file exists only while work is left: a completed run removes it.
+		data, err := os.ReadFile(o.checkpoint)
+		switch {
+		case err == nil:
+			cp, err := core.DecodeCheckpoint(data)
+			if err != nil {
+				return resumeError(o.checkpoint, err)
+			}
+			opts.ResumeFrom = cp
+			fmt.Fprintf(out, "resuming from %s (%d executions already explored)\n", o.checkpoint, cp.Stats.Executions)
+		case !errors.Is(err, os.ErrNotExist):
 			return err
 		}
-		cp, err := core.DecodeCheckpoint(data)
-		if err != nil {
-			return fmt.Errorf("resume %s: %w", ck.resume, err)
-		}
-		opts.ResumeFrom = cp
-		fmt.Fprintf(out, "resuming from %s (%d executions already explored)\n", ck.resume, cp.Stats.Executions)
-	}
-	if ck.path != "" {
 		opts.Checkpoint = &core.CheckpointOptions{
-			EveryExecs: ck.every,
+			EveryExecs: core.DefaultCheckpointEvery,
 			Sink: func(cp *core.Checkpoint) {
-				writeCheckpointFile(ck.path, cp) //nolint:errcheck // periodic snapshot: next one retries
+				writeCheckpointFile(o.checkpoint, cp) //nolint:errcheck // periodic snapshot: next one retries
 			},
 		}
 	}
 	var witness *eg.Graph
 	witnessWeak := false
 	opts.OnExecution = func(g *eg.Graph, fsv prog.FinalState) {
-		if verbose {
+		if o.verbose {
 			fmt.Fprintf(out, "--- execution (mem=%v)\n%s", fsv.Mem, g.StringNamed(p.LocName))
 		}
 		weak := p.Exists != nil && p.Exists(fsv)
@@ -592,32 +597,35 @@ func check(out io.Writer, p *prog.Program, spec backend.Spec, verbose bool, dotP
 		cerr := traceFile.Close()
 		switch {
 		case tracer.Err() != nil:
-			fmt.Fprintf(out, "warning: trace %s truncated: %v\n", ob.trace, tracer.Err())
+			fmt.Fprintf(out, "warning: trace %s truncated: %v\n", o.trace, tracer.Err())
 		case cerr != nil:
-			fmt.Fprintf(out, "warning: trace %s: %v\n", ob.trace, cerr)
+			fmt.Fprintf(out, "warning: trace %s: %v\n", o.trace, cerr)
 		default:
-			fmt.Fprintf(out, "trace written to %s (%d events)\n", ob.trace, tracer.Events())
+			fmt.Fprintf(out, "trace written to %s (%d events)\n", o.trace, tracer.Events())
 		}
+	}
+	if errors.Is(err, core.ErrCheckpointMismatch) {
+		return resumeError(o.checkpoint, err)
 	}
 	if err != nil {
 		return err
 	}
-	if ck.path != "" {
+	if o.checkpoint != "" {
 		if res.Checkpoint != nil {
 			// Interrupted or truncated: persist the final frontier so the
 			// run can be picked up exactly where it stopped.
-			if err := writeCheckpointFile(ck.path, res.Checkpoint); err != nil {
+			if err := writeCheckpointFile(o.checkpoint, res.Checkpoint); err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "checkpoint written to %s (continue with -resume %s)\n", ck.path, ck.path)
-		} else if err := os.Remove(ck.path); err == nil {
+			fmt.Fprintf(out, "checkpoint written to %s (run again with -checkpoint %s to continue)\n", o.checkpoint, o.checkpoint)
+		} else if err := os.Remove(o.checkpoint); err == nil {
 			// Completed: a periodic snapshot would only resume into work
 			// already done, so retire it.
-			fmt.Fprintf(out, "exploration complete; checkpoint %s removed\n", ck.path)
+			fmt.Fprintf(out, "exploration complete; checkpoint %s removed\n", o.checkpoint)
 		}
 	}
-	if dotPath != "" && witness != nil {
-		f, err := os.Create(dotPath)
+	if o.dot != "" && witness != nil {
+		f, err := os.Create(o.dot)
 		if err != nil {
 			return err
 		}
@@ -628,7 +636,7 @@ func check(out io.Writer, p *prog.Program, spec backend.Spec, verbose bool, dotP
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "witness written to %s (weak outcome: %v)\n", dotPath, witnessWeak)
+		fmt.Fprintf(out, "witness written to %s (weak outcome: %v)\n", o.dot, witnessWeak)
 	}
 	if res.Interrupted {
 		// Partial counts must not read like a verdict: an interrupted run
@@ -656,16 +664,16 @@ func check(out io.Writer, p *prog.Program, spec backend.Spec, verbose bool, dotP
 		}
 		fmt.Fprintln(out)
 	}
-	if stats {
+	if o.stats {
 		fmt.Fprintf(out, "  states=%d memo-hits=%d consistency-checks=%d revisits=%d/%d (taken/tried) repair-fails=%d max-graph=%d\n",
 			res.States, res.MemoHits, res.ConsistencyChecks,
 			res.RevisitsTaken, res.RevisitsTried, res.RevisitsRepairFail, res.MaxGraphEvents)
-		if static {
+		if o.static {
 			fmt.Fprintf(out, "  static-pruned: rf=%d co=%d revisit-scans=%d\n",
 				res.StaticPrunedRf, res.StaticPrunedCo, res.StaticPrunedScans)
 		}
 	}
-	if checkDeps {
+	if o.checkDeps {
 		if res.DepViolations == 0 {
 			fmt.Fprintf(out, "  checkdeps: ok (all dynamic dependencies within static sets)\n")
 		} else {

@@ -22,7 +22,7 @@ func TestRunBuiltinTest(t *testing.T) {
 
 func TestRunAllModels(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-all", "-test", "LB"}, &out); err != nil {
+	if err := run([]string{"-model", "all", "-test", "LB"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Count(out.String(), "\n")
@@ -30,7 +30,7 @@ func TestRunAllModels(t *testing.T) {
 		t.Errorf("expected one line per model (8), got %d:\n%s", lines, out.String())
 	}
 	if !strings.Contains(out.String(), "model=arm") {
-		t.Error("arm model missing from -all output")
+		t.Error("arm model missing from -model all output")
 	}
 }
 
@@ -295,8 +295,9 @@ func verdictLine(t *testing.T, output, name string) string {
 }
 
 // TestRunCheckpointResume: an interrupted run writes its frontier to the
-// -checkpoint file; -resume completes it and prints exactly the verdict
-// line of an uninterrupted run, then retires the spent checkpoint.
+// -checkpoint file; rerunning with the same -checkpoint completes it and
+// prints exactly the verdict line of an uninterrupted run, then retires
+// the spent checkpoint.
 func TestRunCheckpointResume(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 
@@ -311,7 +312,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	}
 
 	// Leg 2: resume to completion (no timeout).
-	resumed := checkpointLeg(t, "-model", "relaxed", "-test", "IRIW", "-resume", ckpt, "-checkpoint", ckpt)
+	resumed := checkpointLeg(t, "-model", "relaxed", "-test", "IRIW", "-checkpoint", ckpt)
 	if !strings.Contains(resumed, "resuming from "+ckpt) {
 		t.Fatalf("resume not announced:\n%s", resumed)
 	}
@@ -337,33 +338,33 @@ func TestRunCheckpointAtCap(t *testing.T) {
 	if !strings.Contains(first, "(truncated: max-executions)") || !strings.Contains(first, "checkpoint written") {
 		t.Fatalf("capped leg:\n%s", first)
 	}
-	resumed := checkpointLeg(t, "-model", "relaxed", "-test", "IRIW", "-max", "5", "-resume", ckpt)
+	resumed := checkpointLeg(t, "-model", "relaxed", "-test", "IRIW", "-max", "5", "-checkpoint", ckpt)
 	if got, want := verdictLine(t, resumed, "IRIW"), verdictLine(t, first, "IRIW"); got != want {
 		t.Fatalf("resumed capped verdict diverges:\nresumed:  %s\nfirst:    %s", got, want)
 	}
 }
 
 // TestRunResumeMismatch: a checkpoint resumed against a different test or
-// model is refused, not silently merged.
+// model is refused, not silently merged, and the error names the file.
 func TestRunResumeMismatch(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "sb.ckpt")
 	checkpointLeg(t, "-model", "relaxed", "-test", "IRIW", "-max", "5", "-checkpoint", ckpt)
 	var out strings.Builder
-	err := run([]string{"-model", "relaxed", "-test", "LB", "-resume", ckpt}, &out)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+	err := run([]string{"-model", "relaxed", "-test", "LB", "-checkpoint", ckpt}, &out)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint") || !strings.Contains(err.Error(), ckpt) {
 		t.Fatalf("wrong-program resume: err=%v", err)
 	}
-	err = run([]string{"-model", "sc", "-test", "IRIW", "-max", "5", "-resume", ckpt}, &out)
-	if err == nil || !strings.Contains(err.Error(), "checkpoint") {
+	err = run([]string{"-model", "sc", "-test", "IRIW", "-max", "5", "-checkpoint", ckpt}, &out)
+	if err == nil || !strings.Contains(err.Error(), "checkpoint") || !strings.Contains(err.Error(), ckpt) {
 		t.Fatalf("wrong-model resume: err=%v", err)
 	}
 }
 
-// TestRunCheckpointRejectsAll: -checkpoint/-resume are single-model.
+// TestRunCheckpointRejectsAll: -checkpoint is single-model.
 func TestRunCheckpointRejectsAll(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-all", "-test", "SB", "-checkpoint", filepath.Join(t.TempDir(), "x.ckpt")}, &out)
-	if err == nil || !strings.Contains(err.Error(), "-all") {
+	err := run([]string{"-model", "all", "-test", "SB", "-checkpoint", filepath.Join(t.TempDir(), "x.ckpt")}, &out)
+	if err == nil || !strings.Contains(err.Error(), "-model all") {
 		t.Fatalf("err = %v, want single-model rejection", err)
 	}
 }

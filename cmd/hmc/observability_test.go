@@ -30,7 +30,7 @@ func TestRunProgressTicker(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run([]string{"-model", "sc", "-progress", "-progress-every", "1ms", path}, &out); err != nil {
+	if err := run([]string{"-model", "sc", "-progress", "1ms", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "weak outcome") {

@@ -9,25 +9,37 @@ import (
 	"hmc/internal/memmodel"
 )
 
+// vetOptions is everything the `hmc vet` command line sets.
+type vetOptions struct {
+	model, test string
+	foot, deps  bool
+}
+
+// newVetFlags defines the `hmc vet` flags, each bound to its field of o.
+func newVetFlags(o *vetOptions) *flag.FlagSet {
+	fs := flag.NewFlagSet("hmc vet", flag.ContinueOnError)
+	fs.StringVar(&o.model, "model", "imm", "memory model for model-aware lints (fence effectiveness): "+fmt.Sprint(memmodel.Names())+", or all for the union of findings")
+	fs.StringVar(&o.test, "test", "", "vet a built-in corpus test instead of a file")
+	fs.BoolVar(&o.foot, "foot", false, "print the location footprint summary (readers/writers per location)")
+	fs.BoolVar(&o.deps, "deps", false, "print per-instruction static dependency sets (addr/data/ctrl)")
+	return fs
+}
+
 // vet implements the `hmc vet` subcommand: static analysis only, no
 // exploration. Findings print one per line prefixed with the program
 // label (file path or corpus test name), in the file:line style of go vet.
 func vet(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("hmc vet", flag.ContinueOnError)
-	model := fs.String("model", "imm", "memory model for model-aware lints (fence effectiveness): "+fmt.Sprint(memmodel.Names()))
-	all := fs.Bool("all", false, "lint under every model (union of findings)")
-	testName := fs.String("test", "", "vet a built-in corpus test instead of a file")
-	foot := fs.Bool("foot", false, "print the location footprint summary (readers/writers per location)")
-	deps := fs.Bool("deps", false, "print per-instruction static dependency sets (addr/data/ctrl)")
+	var o vetOptions
+	fs := newVetFlags(&o)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	label := *testName
+	label := o.test
 	if label == "" && len(fs.Args()) == 1 {
 		label = fs.Args()[0]
 	}
-	p, err := loadProgram(fs.Args(), *testName)
+	p, err := loadProgram(fs.Args(), o.test)
 	if err != nil {
 		// Parse and validation failures are themselves the vet verdict.
 		return fmt.Errorf("vet: %w", err)
@@ -36,10 +48,7 @@ func vet(args []string, out io.Writer) error {
 		label = p.Name
 	}
 
-	models := []string{*model}
-	if *all {
-		models = memmodel.Names()
-	}
+	models := modelList(o.model)
 	for _, name := range models {
 		if _, merr := memmodel.ByName(name); merr != nil {
 			return merr
@@ -65,10 +74,10 @@ func vet(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%s:%s\n", label, f)
 	}
 
-	if *foot {
+	if o.foot {
 		fmt.Fprintf(out, "footprint:\n%s", r.Foot.Summary(p))
 	}
-	if *deps {
+	if o.deps {
 		for t := range p.Threads {
 			for pc, in := range p.Threads[t] {
 				d := r.Threads[t].Deps[pc]

@@ -58,7 +58,7 @@ func TestVetParseFailure(t *testing.T) {
 }
 
 func TestVetAllModelsUnion(t *testing.T) {
-	// An LW fence is a no-op under tso but not pso: -all must show the
+	// An LW fence is a no-op under tso but not pso: -model all must show the
 	// model-specific finding for tso only.
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f.lit")
@@ -72,15 +72,15 @@ exists T1:r0=1 & T1:r1=0
 		t.Fatal(err)
 	}
 	var out strings.Builder
-	if err := run([]string{"vet", "-all", path}, &out); err != nil {
+	if err := run([]string{"vet", "-model", "all", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
 	if !strings.Contains(got, "under tso") {
-		t.Errorf("-all output missing the tso useless-fence finding:\n%s", got)
+		t.Errorf("-model all output missing the tso useless-fence finding:\n%s", got)
 	}
 	if strings.Contains(got, "under pso") {
-		t.Errorf("-all output flags the LW fence under pso, where it is effective:\n%s", got)
+		t.Errorf("-model all output flags the LW fence under pso, where it is effective:\n%s", got)
 	}
 }
 

@@ -12,19 +12,19 @@
 // Usage:
 //
 //	hmcd [-addr :8433] [-queue 64] [-workers 2] [-cache 128]
-//	     [-timeout 30s] [-max-timeout 5m]
-//	     [-crash-dir hmcd-crashes] [-crash-max 32] [-retries 2]
-//	     [-retry-backoff 50ms] [-breaker-threshold 3] [-breaker-cooldown 10m]
+//	     [-timeout 30s] [-max-timeout 5m] [-drain 10s]
+//	     [-crash-dir hmcd-crashes] [-journal DIR] [-checkpoint-every 2000]
 //	     [-progress-every 1s] [-pprof 127.0.0.1:6060]
 //	     [-chaos-plan plan.json]
-//	     [-portfolio]
-//	     [-quarantine-dir hmcd-quarantine] [-quarantine-max 32]
+//	     [-portfolio] [-quarantine-dir hmcd-quarantine]
 //
 // Fault containment: an engine panic fails only its own job — the panic
 // is recovered into a structured engine_error on the job payload and a
 // replayable crash artifact under -crash-dir (replay with `hmc -repro`);
-// a program that repeatedly crashes the engine trips a per-fingerprint
-// circuit breaker, and memory-budget truncations are retried with backoff.
+// a program that crashes the engine 3 times trips a per-fingerprint
+// circuit breaker (HTTP 503 for 10 minutes), a memory-budget truncation
+// is retried once after 50ms, and each artifact directory keeps its
+// newest 32 files. These bounds are the service.Config defaults.
 //
 // Endpoints (see internal/service for the full API):
 //
@@ -73,6 +73,7 @@ import (
 	"syscall"
 	"time"
 
+	"hmc/internal/core"
 	"hmc/internal/faultinject"
 	"hmc/internal/service"
 )
@@ -86,68 +87,55 @@ func main() {
 	}
 }
 
+// daemonFlags is everything hmcd's command line sets: the service
+// configuration plus the daemon's own listener and lifecycle settings.
+type daemonFlags struct {
+	cfg                        service.Config
+	addr, pprofAddr, chaosPlan string
+	drain                      time.Duration
+}
+
+// newFlags defines hmcd's flags, each bound to its field of f. Settings
+// without a flag take the service defaults (service.Config).
+func newFlags(f *daemonFlags) *flag.FlagSet {
+	fs := flag.NewFlagSet("hmcd", flag.ContinueOnError)
+	fs.StringVar(&f.addr, "addr", ":8433", "listen address")
+	fs.IntVar(&f.cfg.QueueSize, "queue", 64, "job queue capacity (full queue rejects with 503)")
+	fs.IntVar(&f.cfg.Workers, "workers", 2, "jobs explored concurrently")
+	fs.IntVar(&f.cfg.CacheSize, "cache", 128, "verdict cache entries (negative disables)")
+	fs.DurationVar(&f.cfg.DefaultTimeout, "timeout", 30*time.Second, "default per-job deadline (0 = none)")
+	fs.DurationVar(&f.cfg.MaxTimeout, "max-timeout", 5*time.Minute, "cap on requested per-job deadlines (0 = none)")
+	fs.DurationVar(&f.drain, "drain", 10*time.Second, "shutdown grace before in-flight jobs are cancelled")
+	fs.StringVar(&f.cfg.CrashDir, "crash-dir", "hmcd-crashes", "directory for engine-crash repro artifacts")
+	fs.StringVar(&f.cfg.JournalDir, "journal", "", "write-ahead journal directory; makes the daemon durable across restarts (empty disables)")
+	fs.IntVar(&f.cfg.CheckpointEveryExecs, "checkpoint-every", core.DefaultCheckpointEvery, "executions between journaled exploration checkpoints")
+	fs.DurationVar(&f.cfg.ProgressEvery, "progress-every", core.DefaultProgressEvery, "cadence of live job progress snapshots (negative disables)")
+	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (empty disables)")
+	fs.StringVar(&f.chaosPlan, "chaos-plan", "", "dev only: JSON fault-injection plan (internal/faultinject) applied to the journal")
+	fs.BoolVar(&f.cfg.Portfolio, "portfolio", false, "race every applicable backend per job and cross-attest verdicts; disagreements are quarantined, never served")
+	fs.StringVar(&f.cfg.QuarantineDir, "quarantine-dir", "hmcd-quarantine", "directory for backend-disagreement repro artifacts")
+	return fs
+}
+
 // run starts the daemon and blocks until ctx is cancelled, then drains.
 // ready, when non-nil, is called with the bound address once the listener
 // is accepting (tests bind ":0" and need the resolved port).
 func run(ctx context.Context, args []string, out io.Writer, ready func(addr string)) error {
-	fs := flag.NewFlagSet("hmcd", flag.ContinueOnError)
-	addr := fs.String("addr", ":8433", "listen address")
-	queue := fs.Int("queue", 64, "job queue capacity (full queue rejects with 503)")
-	workers := fs.Int("workers", 2, "jobs explored concurrently")
-	cache := fs.Int("cache", 128, "verdict cache entries (negative disables)")
-	defTimeout := fs.Duration("timeout", 30*time.Second, "default per-job deadline (0 = none)")
-	maxTimeout := fs.Duration("max-timeout", 5*time.Minute, "cap on requested per-job deadlines (0 = none)")
-	drainGrace := fs.Duration("drain", 10*time.Second, "shutdown grace before in-flight jobs are cancelled")
-	crashDir := fs.String("crash-dir", "hmcd-crashes", "directory for engine-crash repro artifacts")
-	crashMax := fs.Int("crash-max", 32, "max crash artifacts kept, oldest evicted (negative disables capture)")
-	retries := fs.Int("retries", 2, "max exploration attempts after transient memory-budget truncation")
-	retryBackoff := fs.Duration("retry-backoff", 50*time.Millisecond, "pause before retrying a memory-truncated job")
-	breakerThreshold := fs.Int("breaker-threshold", 3, "engine crashes on one program before its submissions are rejected (negative disables)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 10*time.Minute, "how long a crash-looping program stays rejected")
-	journalDir := fs.String("journal", "", "write-ahead journal directory; makes the daemon durable across restarts (empty disables)")
-	journalMax := fs.Int64("journal-max-bytes", 4<<20, "journal file size before rotation/compaction")
-	checkpointEvery := fs.Int("checkpoint-every", 2000, "executions between journaled exploration checkpoints")
-	progressEvery := fs.Duration("progress-every", time.Second, "cadence of live job progress snapshots (negative disables)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this separate address (empty disables)")
-	chaosPlan := fs.String("chaos-plan", "", "dev only: JSON fault-injection plan (internal/faultinject) applied to the journal")
-	portfolio := fs.Bool("portfolio", false, "race every applicable backend per job and cross-attest verdicts; disagreements are quarantined, never served")
-	quarantineDir := fs.String("quarantine-dir", "hmcd-quarantine", "directory for backend-disagreement repro artifacts")
-	quarantineMax := fs.Int("quarantine-max", 32, "max quarantine artifacts kept, oldest evicted (negative disables capture)")
-	if err := fs.Parse(args); err != nil {
+	var f daemonFlags
+	if err := newFlags(&f).Parse(args); err != nil {
 		return err
 	}
 
-	var plan *faultinject.Plan
-	if *chaosPlan != "" {
-		var err error
-		if plan, err = faultinject.LoadPlan(*chaosPlan); err != nil {
+	if f.chaosPlan != "" {
+		plan, err := faultinject.LoadPlan(f.chaosPlan)
+		if err != nil {
 			return fmt.Errorf("chaos plan: %w", err)
 		}
-		fmt.Fprintf(out, "hmcd: CHAOS PLAN %s active (seed %d) — dev harness, never production\n", *chaosPlan, plan.Seed)
+		f.cfg.ChaosPlan = plan
+		fmt.Fprintf(out, "hmcd: CHAOS PLAN %s active (seed %d) — dev harness, never production\n", f.chaosPlan, plan.Seed)
 	}
 
-	svc, err := service.New(service.Config{
-		QueueSize:            *queue,
-		Workers:              *workers,
-		CacheSize:            *cache,
-		DefaultTimeout:       *defTimeout,
-		MaxTimeout:           *maxTimeout,
-		CrashDir:             *crashDir,
-		MaxCrashArtifacts:    *crashMax,
-		MaxAttempts:          *retries,
-		RetryBackoff:         *retryBackoff,
-		BreakerThreshold:     *breakerThreshold,
-		BreakerCooldown:      *breakerCooldown,
-		JournalDir:           *journalDir,
-		JournalMaxBytes:      *journalMax,
-		CheckpointEveryExecs: *checkpointEvery,
-		ProgressEvery:        *progressEvery,
-		ChaosPlan:            plan,
-
-		Portfolio:              *portfolio,
-		QuarantineDir:          *quarantineDir,
-		MaxQuarantineArtifacts: *quarantineMax,
-	})
+	svc, err := service.New(f.cfg)
 	if err != nil {
 		return err
 	}
@@ -157,8 +145,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	// reachable through the public API address — bind it to localhost (or a
 	// firewalled port) independently of -addr. The explicit mux avoids the
 	// net/http/pprof side effect of registering on http.DefaultServeMux.
-	if *pprofAddr != "" {
-		pln, err := net.Listen("tcp", *pprofAddr)
+	if f.pprofAddr != "" {
+		pln, err := net.Listen("tcp", f.pprofAddr)
 		if err != nil {
 			return fmt.Errorf("pprof listen: %w", err)
 		}
@@ -174,7 +162,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 		go psrv.Serve(pln) //nolint:errcheck // best-effort diagnostics listener
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		return err
 	}
@@ -183,15 +171,15 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	eff := svc.Config()
 	fmt.Fprintf(out, "hmcd: listening on %s (workers=%d queue=%d cache=%d timeout=%v)\n",
 		ln.Addr(), eff.Workers, eff.QueueSize, eff.CacheSize, eff.DefaultTimeout)
-	if *portfolio {
+	if f.cfg.Portfolio {
 		fmt.Fprintf(out, "hmcd: portfolio on (quarantine dir %s)\n", eff.QuarantineDir)
 	}
-	if *journalDir != "" {
+	if f.cfg.JournalDir != "" {
 		// Replay runs in the background (watch /readyz); the verdict and
 		// skipped-record counts are known synchronously at open.
 		m := svc.Metrics()
 		fmt.Fprintf(out, "hmcd: journal %s (verdicts=%d skipped=%d), replaying backlog\n",
-			*journalDir, m.VerdictsReloaded.Load(), m.JournalSkippedRecords.Load())
+			f.cfg.JournalDir, m.VerdictsReloaded.Load(), m.JournalSkippedRecords.Load())
 	}
 	if ready != nil {
 		ready(ln.Addr().String())
@@ -206,8 +194,8 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	case <-ctx.Done():
 	}
 
-	fmt.Fprintf(out, "hmcd: draining (grace %v)\n", *drainGrace)
-	grace, cancel := context.WithTimeout(context.Background(), *drainGrace)
+	fmt.Fprintf(out, "hmcd: draining (grace %v)\n", f.drain)
+	grace, cancel := context.WithTimeout(context.Background(), f.drain)
 	defer cancel()
 	if err := srv.Shutdown(grace); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		fmt.Fprintf(out, "hmcd: http shutdown: %v\n", err)

@@ -55,17 +55,6 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: [%s] %s (%s)", pos, f.Code, f.Msg, f.Sev)
 }
 
-// MaxSeverity returns the highest severity among findings (Info if none).
-func MaxSeverity(fs []Finding) Severity {
-	max := Info
-	for _, f := range fs {
-		if f.Sev > max {
-			max = f.Sev
-		}
-	}
-	return max
-}
-
 // Lint returns the full diagnostic set for the program: the
 // model-independent findings computed by Analyze plus model-aware ones
 // (fences that cannot order anything under the named model). An empty or

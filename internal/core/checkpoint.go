@@ -51,6 +51,11 @@ const CheckpointVersion = 1
 // exploration options that change the semantics of the saved state.
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match this run")
 
+// DefaultCheckpointEvery is the periodic snapshot cadence, in executions,
+// of hmc -checkpoint and of the hmcd journal (hmcd -checkpoint-every);
+// EXPERIMENTS.md T14 measures its overhead.
+const DefaultCheckpointEvery = 2000
+
 // CheckpointOptions configures periodic snapshots (Options.Checkpoint).
 type CheckpointOptions struct {
 	// EveryExecs requests a snapshot roughly every that many completed

@@ -744,10 +744,6 @@ func T13StaticPruning(opts Options) (*Table, error) {
 	return t, nil
 }
 
-// defaultEveryExecs mirrors hmcd's -checkpoint-every default: the
-// EveryExecs value whose rows also run the kill-and-resume leg.
-const defaultEveryExecs = 2000
-
 // T14CheckpointResume measures what durability costs and what it saves:
 // the wall-clock overhead of periodic checkpointing as EveryExecs varies
 // (every snapshot is really encoded, not just counted), and the
@@ -771,10 +767,10 @@ func T14CheckpointResume(opts Options) (*Table, error) {
 		{gen.IndexerN(3), "sc"},
 		{gen.IncN(3, 3), "sc"},
 	}
-	sweep := []int{500, defaultEveryExecs}
+	sweep := []int{500, core.DefaultCheckpointEvery}
 	if !opts.Quick {
 		jobs = append(jobs, job{gen.SBN(10), "tso"}, job{gen.IncN(4, 2), "tso"})
-		sweep = []int{200, 500, defaultEveryExecs, 10000}
+		sweep = []int{200, 500, core.DefaultCheckpointEvery, 10000}
 	}
 
 	// ckptRun explores with periodic snapshots enabled; the sink encodes
@@ -820,7 +816,7 @@ func T14CheckpointResume(opts Options) (*Table, error) {
 					j.p.Name, j.model, every, snaps, straight.Executions, want)
 			}
 			saved, resumeDoes := "-", "-"
-			if every == defaultEveryExecs {
+			if every == core.DefaultCheckpointEvery {
 				// Kill-and-resume leg: FailAfter injects "the process dies
 				// here" at a branch point no completed run can reach, the
 				// interrupted result's final checkpoint is round-tripped

@@ -1,6 +1,7 @@
 package litmus
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -60,18 +61,31 @@ func TestCorpusIntegrity(t *testing.T) {
 	}
 }
 
+// TestByNameAndNames: every corpus test resolves by name to the same
+// program and expectations, and a lookup allocates nothing (the index is
+// built once, not per call).
 func TestByNameAndNames(t *testing.T) {
 	names := Names()
 	if len(names) != len(Corpus()) {
 		t.Fatalf("Names() has %d entries, corpus %d", len(names), len(Corpus()))
 	}
-	for _, n := range names {
-		if _, ok := ByName(n); !ok {
-			t.Errorf("ByName(%q) failed", n)
+	for i, tc := range Corpus() {
+		got, ok := ByName(names[i])
+		switch {
+		case !ok:
+			t.Errorf("ByName(%q) failed", names[i])
+		case got.Name != tc.Name || got.P.Fingerprint() != tc.P.Fingerprint():
+			t.Errorf("ByName(%q) = %q (fingerprint %.12s), want fingerprint %.12s",
+				names[i], got.Name, got.P.Fingerprint(), tc.P.Fingerprint())
+		case !reflect.DeepEqual(got.Allowed, tc.Allowed) || !reflect.DeepEqual(got.Executions, tc.Executions):
+			t.Errorf("ByName(%q): verdicts %v / %v, want %v / %v", names[i], got.Allowed, got.Executions, tc.Allowed, tc.Executions)
 		}
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("ByName must fail for unknown tests")
+	}
+	if n := testing.AllocsPerRun(10, func() { ByName("IRIW") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
 	}
 }
 

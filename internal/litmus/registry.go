@@ -3,6 +3,7 @@ package litmus
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"hmc/internal/eg"
 	"hmc/internal/prog"
@@ -210,14 +211,20 @@ func corpus() []Test {
 	}
 }
 
-// ByName returns the corpus test with the given name.
-func ByName(name string) (Test, bool) {
+// corpusIndex maps each corpus test name to its test, built once.
+var corpusIndex = sync.OnceValue(func() map[string]Test {
+	idx := map[string]Test{}
 	for _, t := range Corpus() {
-		if t.Name == name {
-			return t, true
-		}
+		idx[t.Name] = t
 	}
-	return Test{}, false
+	return idx
+})
+
+// ByName returns the corpus test with the given name. Every caller shares
+// the one Test (a prog.Program memoizes nothing): never modify it.
+func ByName(name string) (Test, bool) {
+	t, ok := corpusIndex()[name]
+	return t, ok
 }
 
 // Resolve builds the program a job names: litmus source text or a corpus

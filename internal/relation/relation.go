@@ -241,14 +241,6 @@ func (r *Rel) TransitiveClose() *Rel {
 // Closure returns a new relation that is the transitive closure of r.
 func (r *Rel) Closure() *Rel { return r.Clone().TransitiveClose() }
 
-// ReflexiveClose adds (i, i) for every i, in place.
-func (r *Rel) ReflexiveClose() *Rel {
-	for i := 0; i < r.n; i++ {
-		r.Add(i, i)
-	}
-	return r
-}
-
 // Irreflexive reports whether no (i, i) pair is present.
 func (r *Rel) Irreflexive() bool {
 	for i := 0; i < r.n; i++ {

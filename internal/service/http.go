@@ -255,7 +255,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	view, err := s.Submit(req)
 	switch {
 	case errors.Is(err, ErrCircuitOpen):
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(s.cfg.BreakerCooldown.Seconds())))
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(breakerCooldown.Seconds())))
 		s.writeError(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):

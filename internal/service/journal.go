@@ -111,7 +111,9 @@ type journal struct {
 	degradedWhy string // classification of the most recent failure
 }
 
-const defaultJournalMaxBytes = 4 << 20
+// journalMaxBytes rotates the journal file past this size; each fresh file
+// starts with a compaction snapshot of the incomplete jobs.
+const journalMaxBytes = 4 << 20
 
 // openJournal loads dir, replays existing journal files into the live-job
 // map, starts a fresh file seeded with a compaction snapshot, and removes
@@ -125,7 +127,7 @@ func openJournal(dir string, maxBytes int64) (*journal, journalStats, error) {
 // write-error accounting).
 func openJournalWith(dir string, maxBytes int64, hooks journalHooks) (*journal, journalStats, error) {
 	if maxBytes <= 0 {
-		maxBytes = defaultJournalMaxBytes
+		maxBytes = journalMaxBytes
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, journalStats{}, err

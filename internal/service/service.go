@@ -69,12 +69,9 @@ type Config struct {
 	RetryBackoff time.Duration
 	// BreakerThreshold trips the per-fingerprint circuit breaker: after
 	// this many engine crashes on one program content, submissions of that
-	// fingerprint are rejected with ErrCircuitOpen until BreakerCooldown
+	// fingerprint are rejected with ErrCircuitOpen until breakerCooldown
 	// has passed (default 3; negative disables the breaker).
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped fingerprint stays rejected
-	// after its last crash (default 10m).
-	BreakerCooldown time.Duration
 	// JournalDir, when set, makes the service durable: accepted jobs,
 	// periodic exploration checkpoints and terminal transitions are
 	// written to a fsynced write-ahead journal there, and the verdict
@@ -83,14 +80,11 @@ type Config struct {
 	// process died are re-enqueued, resuming from their last checkpoint.
 	// Empty disables durability (the previous, in-memory-only behavior).
 	JournalDir string
-	// JournalMaxBytes rotates the journal file past this size; each fresh
-	// file starts with a compaction snapshot of the incomplete jobs
-	// (default 4 MiB).
-	JournalMaxBytes int64
 	// CheckpointEveryExecs is how often a running exploration drains into
-	// a journal checkpoint, in executions (default 2000; only meaningful
-	// with JournalDir). Smaller loses less work to a crash; larger
-	// checkpoints less often. See experiment T14 for the overhead curve.
+	// a journal checkpoint, in executions (default
+	// core.DefaultCheckpointEvery; only meaningful with JournalDir).
+	// Smaller loses less work to a crash; larger checkpoints less often.
+	// See experiment T14 for the overhead curve.
 	CheckpointEveryExecs int
 	// ProgressEvery is how often a running job publishes a progress
 	// snapshot — served live in job polls, the /progress long-poll and the
@@ -110,11 +104,18 @@ type Config struct {
 	// 30s per run and backend.DefaultGrace after the winner lands.
 	Portfolio bool
 	// QuarantineDir is where disagreement artifacts are written (default
-	// "hmcd-quarantine"); MaxQuarantineArtifacts bounds the directory
-	// (default 32, oldest evicted; negative disables capture).
-	QuarantineDir          string
-	MaxQuarantineArtifacts int
+	// "hmcd-quarantine"), at most maxQuarantineArtifacts of them.
+	QuarantineDir string
 }
+
+const (
+	// breakerCooldown is how long a tripped fingerprint stays rejected
+	// after its last crash.
+	breakerCooldown = 10 * time.Minute
+	// maxQuarantineArtifacts bounds the quarantine directory; the oldest
+	// artifact is evicted first.
+	maxQuarantineArtifacts = 32
+)
 
 func (c Config) withDefaults() Config {
 	if c.QueueSize <= 0 {
@@ -144,23 +145,14 @@ func (c Config) withDefaults() Config {
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
 	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 10 * time.Minute
-	}
-	if c.JournalMaxBytes <= 0 {
-		c.JournalMaxBytes = defaultJournalMaxBytes
-	}
 	if c.CheckpointEveryExecs <= 0 {
-		c.CheckpointEveryExecs = 2000
+		c.CheckpointEveryExecs = core.DefaultCheckpointEvery
 	}
 	if c.ProgressEvery == 0 {
 		c.ProgressEvery = core.DefaultProgressEvery
 	}
 	if c.QuarantineDir == "" {
 		c.QuarantineDir = "hmcd-quarantine"
-	}
-	if c.MaxQuarantineArtifacts == 0 {
-		c.MaxQuarantineArtifacts = 32
 	}
 	return c
 }
@@ -365,9 +357,9 @@ type Service struct {
 	crashes *crashStore // nil when artifact capture is disabled
 	journal *journal    // nil when Config.JournalDir is empty
 
-	// quarantines stores disagreement artifacts (nil when capture is
-	// disabled); alternates are the non-anchor portfolio backends — nil
-	// selects the standard pair, tests inject mocks here.
+	// quarantines stores disagreement artifacts (nil without
+	// Config.Portfolio); alternates are the non-anchor portfolio
+	// backends — nil selects the standard pair, tests inject mocks here.
 	quarantines *crashStore
 	alternates  []backend.Backend
 
@@ -407,15 +399,15 @@ func New(cfg Config) (*Service, error) {
 		cache:   newVerdictCache(cfg.CacheSize),
 		jobs:    make(map[string]*Job),
 		queue:   make(chan *Job, cfg.QueueSize),
-		breaker: newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		breaker: newBreaker(cfg.BreakerThreshold, breakerCooldown),
 		drainCh: make(chan struct{}),
 	}
 	s.cache.evictions = &s.metrics.CacheEvictions
 	if cfg.MaxCrashArtifacts > 0 {
 		s.crashes = &crashStore{dir: cfg.CrashDir, max: cfg.MaxCrashArtifacts}
 	}
-	if cfg.Portfolio && cfg.MaxQuarantineArtifacts > 0 {
-		s.quarantines = &crashStore{dir: cfg.QuarantineDir, max: cfg.MaxQuarantineArtifacts}
+	if cfg.Portfolio {
+		s.quarantines = &crashStore{dir: cfg.QuarantineDir, max: maxQuarantineArtifacts}
 	}
 	var replay []*journalJob
 	if cfg.JournalDir != "" {
@@ -426,7 +418,7 @@ func New(cfg Config) (*Service, error) {
 			plan := cfg.ChaosPlan
 			hooks.Wrap = func(f journalFile) journalFile { return faultinject.WrapFile(f, plan, nil) }
 		}
-		jl, stats, err := openJournalWith(cfg.JournalDir, cfg.JournalMaxBytes, hooks)
+		jl, stats, err := openJournalWith(cfg.JournalDir, journalMaxBytes, hooks)
 		if err != nil {
 			return nil, fmt.Errorf("service: journal: %w", err)
 		}
