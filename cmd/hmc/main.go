@@ -565,6 +565,9 @@ func check(out io.Writer, p *prog.Program, spec backend.Spec, o *options, newCtx
 		switch {
 		case err == nil:
 			cp, err := core.DecodeCheckpoint(data)
+			if err == nil {
+				err = cp.Compatible(p, opts)
+			}
 			if err != nil {
 				return resumeError(o.checkpoint, err)
 			}

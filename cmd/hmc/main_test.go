@@ -358,6 +358,10 @@ func TestRunResumeMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "checkpoint") || !strings.Contains(err.Error(), ckpt) {
 		t.Fatalf("wrong-model resume: err=%v", err)
 	}
+	// A refused checkpoint is never announced as a resume.
+	if strings.Contains(out.String(), "resuming from") {
+		t.Fatalf("mismatched checkpoint announced as a resume:\n%s", out.String())
+	}
 }
 
 // TestRunCheckpointRejectsAll: -checkpoint is single-model.

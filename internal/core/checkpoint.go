@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"hmc/internal/eg"
+	"hmc/internal/prog"
 )
 
 // This file implements exploration checkpoints: a versioned, deterministic
@@ -242,28 +243,44 @@ func (e *explorer) capture(frontier []*eg.Graph) *Checkpoint {
 	return cp
 }
 
-// restore validates cp against this run and installs its state into the
-// explorer, returning the pending frontier to visit. A mismatch — schema,
-// fingerprint, model, or semantic options — returns ErrCheckpointMismatch
-// (wrapped) and leaves the explorer untouched.
-func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
+// Compatible reports whether cp can resume exploring p under opts: the
+// wire version, engine schema, program fingerprint, model and semantic
+// options must all match. A mismatch returns ErrCheckpointMismatch
+// (wrapped). Explore makes this check itself before restoring; a caller
+// that announces a resume makes it first, so it announces only a resume
+// that can happen.
+func (cp *Checkpoint) Compatible(p *prog.Program, opts Options) error {
 	if cp == nil {
-		return nil, errors.New("core: Options.ResumeFrom is nil")
+		return errors.New("core: Options.ResumeFrom is nil")
+	}
+	if opts.Model == nil {
+		return errors.New("core: Options.Model is required")
 	}
 	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: wire version %d, engine reads %d", ErrCheckpointMismatch, cp.Version, CheckpointVersion)
+		return fmt.Errorf("%w: wire version %d, engine reads %d", ErrCheckpointMismatch, cp.Version, CheckpointVersion)
 	}
 	if cp.Schema != SchemaVersion {
-		return nil, fmt.Errorf("%w: engine schema %d, this binary is %d", ErrCheckpointMismatch, cp.Schema, SchemaVersion)
+		return fmt.Errorf("%w: engine schema %d, this binary is %d", ErrCheckpointMismatch, cp.Schema, SchemaVersion)
 	}
-	if fp := e.p.Fingerprint(); cp.Fingerprint != fp {
-		return nil, fmt.Errorf("%w: checkpoint fingerprint %.12s, program is %.12s", ErrCheckpointMismatch, cp.Fingerprint, fp)
+	if fp := p.Fingerprint(); cp.Fingerprint != fp {
+		return fmt.Errorf("%w: checkpoint fingerprint %.12s, program is %.12s", ErrCheckpointMismatch, cp.Fingerprint, fp)
 	}
-	if name := e.opts.Model.Name(); cp.Model != name {
-		return nil, fmt.Errorf("%w: checkpoint model %q, run wants %q", ErrCheckpointMismatch, cp.Model, name)
+	if name := opts.Model.Name(); cp.Model != name {
+		return fmt.Errorf("%w: checkpoint model %q, run wants %q", ErrCheckpointMismatch, cp.Model, name)
 	}
-	if sig := optsSignature(e.opts); cp.Opts != sig {
-		return nil, fmt.Errorf("%w: checkpoint options %q, run wants %q", ErrCheckpointMismatch, cp.Opts, sig)
+	if sig := optsSignature(opts); cp.Opts != sig {
+		return fmt.Errorf("%w: checkpoint options %q, run wants %q", ErrCheckpointMismatch, cp.Opts, sig)
+	}
+	return nil
+}
+
+// restore validates cp against this run (Compatible, then the pending
+// graphs' shapes) and installs its state into the explorer, returning the
+// pending frontier to visit. A mismatch returns ErrCheckpointMismatch
+// (wrapped) and leaves the explorer untouched.
+func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
+	if err := cp.Compatible(e.p, e.opts); err != nil {
+		return nil, err
 	}
 	frontier := make([]*eg.Graph, 0, len(cp.Pending))
 	for i, raw := range cp.Pending {

@@ -839,7 +839,7 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 func updateReading(g *eg.Graph, loc eg.Loc, w eg.EvID) (eg.EvID, bool) {
 	var found eg.EvID
 	ok := false
-	g.ForEach(func(ev eg.Event) {
+	g.ForEach(func(ev *eg.Event) {
 		if ev.Kind == eg.KUpdate && ev.Loc == loc {
 			if src, has := g.RF(ev.ID); has && src == w {
 				found = ev.ID

@@ -157,7 +157,7 @@ func CheckLiveness(p *prog.Program, model memmodel.Model, opts ...Options) (*Liv
 func staleSpinRead(g *eg.Graph, t int) bool {
 	for i := g.ThreadLen(t) - 1; i >= 0; i-- {
 		id := eg.EvID{T: t, I: i}
-		ev := g.Event(id)
+		ev := g.At(id)
 		if ev.Kind == eg.KFence {
 			continue // an acquire fence inside the loop doesn't end the suffix
 		}
@@ -179,7 +179,7 @@ func spinRead(g *eg.Graph, t int) (eg.EvID, bool) {
 		return eg.EvID{}, false
 	}
 	id := eg.EvID{T: t, I: n - 1}
-	if !g.Event(id).Kind.IsRead() {
+	if !g.At(id).Kind.IsRead() {
 		return eg.EvID{}, false
 	}
 	return id, true

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"hmc/internal/eg"
@@ -15,7 +16,7 @@ import (
 // branch.
 func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 	var reads []eg.EvID
-	g.ForEach(func(ev eg.Event) {
+	g.ForEach(func(ev *eg.Event) {
 		if !ev.Kind.IsRead() || ev.Loc != loc || ev.ID == w {
 			return
 		}
@@ -40,8 +41,10 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 //	V = prefix(w) ∪ prefix(r) ∪ {r}
 //
 // where prefix is the downward closure under po-predecessors and rf edges
-// — except r's own rf edge, which the revisit erases. The revisit goes
-// through when
+// — except r's own rf edge, which the revisit erases. V is closed under
+// po-predecessors, so it is a po-prefix of every thread and is carried as
+// a cut vector: thread t keeps its first keep[t] events (keepSet). The
+// revisit goes through when
 //
 //  0. the rebind does not close a cycle r →(po-loc ∪ rf)+ w →rf r out of
 //     edges repair cannot rewrite (closesCoherenceCycle): coherence rejects
@@ -62,7 +65,8 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 // When 0, 1 or 2 fails, a second phase deletes the kept events whose
 // existence hangs on r (pruneTainted) and tries once more; a revisit with
 // no kept control or address dependency has nothing to delete and is
-// rejected without that retry.
+// rejected without that retry. The deleted events are closed under
+// po-successors, so phase 2's kept set is again a cut.
 func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 	if e.stopped() {
 		return
@@ -91,17 +95,16 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 		return
 	}
 	ts2 := e.tRevisit.Start()
-	n := len(keep)
-	pruned := pruneTainted(g, keep, w, r)
+	pruned, ok := pruneTainted(g, keep, w, r)
 	e.tRevisit.Stop(ts2)
-	if !pruned || len(keep) == n {
+	if !ok || slices.Equal(pruned, keep) {
 		// Contradictory (w or r itself would go), or nothing prunable: the
 		// divergence is a genuine value cycle (out-of-thin-air), which
 		// constructive exploration rejects.
 		e.count(func(s *Stats) { s.RevisitsRepairFail++ })
 		return
 	}
-	if !e.rebindAndVisit(g, keep, w, r) {
+	if !e.rebindAndVisit(g, pruned, w, r) {
 		e.count(func(s *Stats) { s.RevisitsRepairFail++ })
 	}
 }
@@ -110,13 +113,13 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 // replay converges — checks consistency and explores. It reports whether
 // the rebound graph both repaired and passed the consistency check. A
 // rebind that closes a coherence cycle is rejected before any of that.
-func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) bool {
+func (e *explorer) rebindAndVisit(g *eg.Graph, keep []int, w, r eg.EvID) bool {
 	if e.opts.PorfOnlyRevisits {
 		// Ablation: RC11-style revisits delete everything po-after r.
 		// If a kept event is po-after r the revisit is skipped entirely
 		// (under porf-acyclic models it would be inconsistent anyway).
-		for ev := range keep { //hmc:nondet(existential scan: any po-after hit skips, order-invariant)
-			if ev != w && ev.T == r.T && ev.I > r.I {
+		for i := r.I + 1; i < keep[r.T]; i++ {
+			if (eg.EvID{T: r.T, I: i}) != w {
 				e.count(func(s *Stats) { s.RevisitsPorfSkip++ })
 				return true
 			}
@@ -149,14 +152,15 @@ func (e *explorer) rebindAndVisit(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.Ev
 // rebindRepaired restricts g to keep, rebinds r to w and repairs the
 // result, reporting whether replay converged without structural
 // divergence.
-func rebindRepaired(p *prog.Program, g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID, maxSteps int) (*eg.Graph, bool) {
-	g2 := g.Restrict(func(ev eg.EvID) bool { return keep[ev] })
-	loc := g2.Event(r).Loc
+func rebindRepaired(p *prog.Program, g *eg.Graph, keep []int, w, r eg.EvID, maxSteps int) (*eg.Graph, bool) {
+	g2 := g.Restrict(keep)
+	re := g2.At(r)
+	loc, kind := re.Loc, re.Kind
 	g2.SetRF(r, w)
 
 	// A rebound update must sit coherence-immediately after its new rf
 	// source: move it there (its old position was tied to its old rf).
-	if g2.Event(r).Kind == eg.KUpdate {
+	if kind == eg.KUpdate {
 		g2.CoRemove(loc, r)
 		g2.CoInsert(loc, g2.CoIndex(loc, w)+1, r)
 	}
@@ -185,8 +189,8 @@ var cyclePool = sync.Pool{New: func() any { return new(cycleScratch) }}
 // cycle lies on one location, so coherence — which every model includes —
 // rejects the repaired graph, and the revisit can be rejected before
 // Restrict and RepairAll.
-func closesCoherenceCycle(p *prog.Program, g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) bool {
-	if !stableWrite(p, g.Event(w)) {
+func closesCoherenceCycle(p *prog.Program, g *eg.Graph, keep []int, w, r eg.EvID) bool {
+	if !stableWrite(p, g.At(w)) {
 		return false
 	}
 	s := cyclePool.Get().(*cycleScratch)
@@ -213,7 +217,7 @@ func closesCoherenceCycle(p *prog.Program, g *eg.Graph, keep map[eg.EvID]bool, w
 		switch {
 		case id == r:
 			found = true
-		case !id.IsInit() && keep[id] && !s.seen[s.off[id.T]+id.I]:
+		case !id.IsInit() && id.I < keep[id.T] && !s.seen[s.off[id.T]+id.I]:
 			s.seen[s.off[id.T]+id.I] = true
 			s.stack = append(s.stack, id)
 		}
@@ -223,17 +227,17 @@ func closesCoherenceCycle(p *prog.Program, g *eg.Graph, keep map[eg.EvID]bool, w
 	for len(s.stack) > 0 && !found {
 		id := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
-		ev := g.Event(id)
+		ev := g.At(id)
 		// The nearest po-earlier access to the same location: po-loc is
 		// transitive within a thread, so the rest follow from it.
 		for i := id.I - 1; i >= 0; i-- {
-			if pe := g.Event(eg.EvID{T: id.T, I: i}); pe.Kind != eg.KFence && pe.Loc == ev.Loc {
+			if pe := g.At(eg.EvID{T: id.T, I: i}); pe.Kind != eg.KFence && pe.Loc == ev.Loc {
 				push(pe.ID)
 				break
 			}
 		}
 		if ev.Kind.IsRead() {
-			if src, ok := g.RF(id); ok && stableWrite(p, g.Event(src)) {
+			if src, ok := g.RF(id); ok && !src.IsInit() && stableWrite(p, g.At(src)) {
 				push(src)
 			}
 		}
@@ -243,7 +247,7 @@ func closesCoherenceCycle(p *prog.Program, g *eg.Graph, keep map[eg.EvID]bool, w
 
 // stableWrite reports whether ev is a write that repair keeps a write: a
 // store or an unconditional update. A CAS update may be demoted to a read.
-func stableWrite(p *prog.Program, ev eg.Event) bool {
+func stableWrite(p *prog.Program, ev *eg.Event) bool {
 	switch ev.Kind {
 	case eg.KWrite:
 		return true
@@ -260,143 +264,156 @@ func stableWrite(p *prog.Program, ev eg.Event) bool {
 
 // existenceDeps reports whether any kept event other than r has a control
 // or address dependency — the only seeds of pruneTainted's deletions.
-func existenceDeps(g *eg.Graph, keep map[eg.EvID]bool, r eg.EvID) bool {
-	for id := range keep { //hmc:nondet(existential scan: any dependent event answers, order-invariant)
-		if ev := g.Event(id); id != r && (len(ev.Ctrl) > 0 || len(ev.Addr) > 0) {
-			return true
+func existenceDeps(g *eg.Graph, keep []int, r eg.EvID) bool {
+	for t, n := range keep {
+		for i := 0; i < n; i++ {
+			if ev := g.At(eg.EvID{T: t, I: i}); ev.ID != r && (len(ev.Ctrl) > 0 || len(ev.Addr) > 0) {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// keepSet computes the events surviving the revisit (r, w): everything
-// added before r, plus the downward closure of w (and of r itself) under
-// po-predecessors and rf edges — excluding r's own rf edge, which the
-// revisit erases. Events added after r that the revisiting write does not
-// causally need are deleted and re-derived by continued exploration; the
-// rf-closure pulls back any deleted write that a kept read still needs,
-// so the restricted graph replays. Init events are implicit and never
-// tracked.
-func keepSet(g *eg.Graph, w, r eg.EvID) map[eg.EvID]bool {
-	keep := make(map[eg.EvID]bool)
-	var stack []eg.EvID
-	push := func(id eg.EvID) {
-		if !id.IsInit() && !keep[id] {
-			keep[id] = true
-			stack = append(stack, id)
+// keepSet computes the events surviving the revisit (r, w) as a cut
+// vector: thread t keeps its first keep[t] events. The kept set is
+// everything added before r, plus the downward closure of w (and of r
+// itself) under po-predecessors and rf edges — excluding r's own rf edge,
+// which the revisit erases. Events added after r that the revisiting
+// write does not causally need are deleted and re-derived by continued
+// exploration; the rf-closure pulls back any deleted write that a kept
+// read still needs, so the restricted graph replays. Init events are
+// implicit and never tracked.
+//
+// Every step of the closure adds po-predecessors, so the set is a
+// po-prefix of each thread, and the closure only ever raises a thread's
+// cut: keep[t] is the cut asked for so far, done[t] how much of it has
+// had its rf sources pulled in.
+func keepSet(g *eg.Graph, w, r eg.EvID) []int {
+	nt := g.NumThreads()
+	buf := make([]int, 2*nt)
+	keep, done := buf[:nt:nt], buf[nt:]
+	need := func(id eg.EvID) {
+		if !id.IsInit() && keep[id.T] <= id.I {
+			keep[id.T] = id.I + 1
 		}
 	}
-	rStamp := g.Event(r).Stamp
-	g.ForEach(func(ev eg.Event) {
-		if ev.Stamp < rStamp {
-			push(ev.ID)
+	rStamp := g.At(r).Stamp
+	for t := range keep {
+		for i := g.ThreadLen(t) - 1; i >= 0; i-- {
+			if g.At(eg.EvID{T: t, I: i}).Stamp < rStamp {
+				keep[t] = i + 1
+				break
+			}
 		}
-	})
-	push(w)
-	push(r)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for i := 0; i < id.I; i++ {
-			push(eg.EvID{T: id.T, I: i})
-		}
-		if id != r && g.Event(id).Kind.IsRead() {
-			if src, ok := g.RF(id); ok {
-				push(src)
+	}
+	need(w)
+	need(r)
+	for grown := true; grown; {
+		grown = false
+		for t := range keep {
+			for ; done[t] < keep[t]; done[t]++ {
+				grown = true
+				id := eg.EvID{T: t, I: done[t]}
+				if id != r && g.At(id).Kind.IsRead() {
+					if src, ok := g.RF(id); ok {
+						need(src)
+					}
+				}
 			}
 		}
 	}
 	return keep
 }
 
-// pruneTainted removes from keep every event whose *existence* depends on
-// the revisited read r: events with a control or address dependency on a
-// value-tainted read (their branch outcome or target location may change
-// when r is rebound), plus everything that transitively needs them
-// (po-successors and readers). Value-only taint (data dependencies) stays:
-// replay repair patches written values in place. It reports false when the
-// revisiting write w or r itself would have to go — the revisit is then
-// contradictory and abandoned.
-func pruneTainted(g *eg.Graph, keep map[eg.EvID]bool, w, r eg.EvID) bool {
+// pruneTainted returns the cut left after deleting from keep every event
+// whose *existence* depends on the revisited read r: events with a
+// control or address dependency on a value-tainted read (their branch
+// outcome or target location may change when r is rebound), plus
+// everything that transitively needs them (po-successors and readers).
+// Value-only taint (data dependencies) stays: replay repair patches
+// written values in place. It reports false when the revisiting write w
+// or r itself would have to go — the revisit is then contradictory and
+// abandoned.
+//
+// The kept events are numbered densely (thread t's kept events from
+// off[t]) for the taint tables. Deleted events are closed under
+// po-successors, so the deletions are a suffix of each thread's kept
+// prefix and the result is again a cut: thread t keeps its events below
+// from[t].
+func pruneTainted(g *eg.Graph, keep []int, w, r eg.EvID) ([]int, bool) {
+	nt := len(keep)
+	off := make([]int, nt+1)
+	for t, n := range keep {
+		off[t+1] = off[t] + n
+	}
+	kept := func(id eg.EvID) bool { return !id.IsInit() && id.I < keep[id.T] }
+	idx := func(id eg.EvID) int { return off[id.T] + id.I }
+
 	// Value taint: reads whose observed value may change when r is
 	// rebound, and writes whose stored value may change.
-	taintedReads := map[eg.EvID]bool{r: true}
-	taintedWrites := map[eg.EvID]bool{}
+	taintedRead := make([]bool, 2*off[nt])
+	taintedWrite := taintedRead[off[nt]:]
+	taintedRead[idx(r)] = true
 	for changed := true; changed; {
 		changed = false
-		g.ForEach(func(ev eg.Event) {
-			if !keep[ev.ID] {
-				return
-			}
-			if ev.Kind.IsWrite() && !taintedWrites[ev.ID] {
-				for _, d := range ev.Data {
-					if taintedReads[d] {
-						taintedWrites[ev.ID] = true
+		for t, n := range keep {
+			for i := 0; i < n; i++ {
+				ev, k := g.At(eg.EvID{T: t, I: i}), off[t]+i
+				if ev.Kind.IsWrite() && !taintedWrite[k] {
+					for _, d := range ev.Data {
+						if taintedRead[idx(d)] {
+							taintedWrite[k] = true
+							changed = true
+						}
+					}
+				}
+				if ev.Kind.IsRead() && !taintedRead[k] {
+					if src, ok := g.RF(ev.ID); ok && kept(src) && taintedWrite[idx(src)] {
+						taintedRead[k] = true
 						changed = true
 					}
 				}
 			}
-			if ev.Kind.IsRead() && !taintedReads[ev.ID] {
-				if src, ok := g.RF(ev.ID); ok && taintedWrites[src] {
-					taintedReads[ev.ID] = true
-					changed = true
-				}
-			}
-		})
+		}
 	}
 
 	// Existence taint: ctrl/addr dependency on a tainted read, closed
-	// under po-successors and readers-of-deleted-writes.
-	doomed := map[eg.EvID]bool{}
-	mark := func(id eg.EvID) bool {
-		if !keep[id] || doomed[id] {
-			return false
-		}
-		doomed[id] = true
-		return true
-	}
-	g.ForEach(func(ev eg.Event) {
-		if !keep[ev.ID] || ev.ID == r {
-			return
-		}
-		for _, set := range [][]eg.EvID{ev.Ctrl, ev.Addr} {
-			for _, d := range set {
-				if taintedReads[d] {
-					mark(ev.ID)
+	// under po-successors (by lowering from) and readers of deleted writes.
+	from := append([]int(nil), keep...)
+	doomed := func(id eg.EvID) bool { return kept(id) && id.I >= from[id.T] }
+	for t, n := range keep {
+		for i := 0; i < n && i < from[t]; i++ {
+			ev := g.At(eg.EvID{T: t, I: i})
+			if ev.ID == r {
+				continue
+			}
+			for _, set := range [][]eg.EvID{ev.Ctrl, ev.Addr} {
+				for _, d := range set {
+					if taintedRead[idx(d)] {
+						from[t] = i
+					}
 				}
 			}
 		}
-	})
+	}
 	for changed := true; changed; {
 		changed = false
-		g.ForEach(func(ev eg.Event) {
-			if !keep[ev.ID] || doomed[ev.ID] {
-				return
-			}
-			// po-successor of a doomed event
-			for i := 0; i < ev.ID.I; i++ {
-				if doomed[eg.EvID{T: ev.ID.T, I: i}] {
-					if mark(ev.ID) {
-						changed = true
-					}
-					return
+		for t := range keep {
+			for i := 0; i < from[t]; i++ {
+				id := eg.EvID{T: t, I: i}
+				if id == r || !g.At(id).Kind.IsRead() {
+					continue
+				}
+				if src, ok := g.RF(id); ok && doomed(src) {
+					from[t] = i
+					changed = true
 				}
 			}
-			// reader of a doomed write
-			if ev.Kind.IsRead() && ev.ID != r {
-				if src, ok := g.RF(ev.ID); ok && doomed[src] {
-					if mark(ev.ID) {
-						changed = true
-					}
-				}
-			}
-		})
+		}
 	}
-	if doomed[w] || doomed[r] {
-		return false
+	if doomed(w) || doomed(r) {
+		return nil, false
 	}
-	for id := range doomed { //hmc:nondet(set difference: deletions commute, order-invariant)
-		delete(keep, id)
-	}
-	return true
+	return from, true
 }

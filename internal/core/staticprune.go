@@ -90,7 +90,7 @@ func (e *explorer) maybeRevisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 // tests assert the count stays zero.
 func (e *explorer) verifyDeps(g *eg.Graph, t int, a interp.Action) {
 	err := e.static.CheckDeps(t, a.PC, a.Addr, a.Data, a.Ctrl, func(id eg.EvID) int {
-		return g.Event(id).PC
+		return g.At(id).PC
 	})
 	if err == nil {
 		return

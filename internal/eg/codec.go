@@ -74,8 +74,8 @@ type WireGraph struct {
 // of the explorer); Decode re-verifies everything on the way back in.
 func EncodeGraph(g *Graph) *WireGraph {
 	wg := &WireGraph{Threads: g.NumThreads(), Locs: g.NumLocs()}
-	var evs []Event
-	g.ForEach(func(ev Event) { evs = append(evs, ev) })
+	evs := make([]*Event, 0, g.NumEvents())
+	g.ForEach(func(ev *Event) { evs = append(evs, ev) })
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Stamp < evs[j].Stamp })
 	for _, ev := range evs {
 		wg.Events = append(wg.Events, WireEvent{
@@ -93,7 +93,7 @@ func EncodeGraph(g *Graph) *WireGraph {
 			Ctrl:  depIndexes(ev.Ctrl),
 		})
 	}
-	g.ForEach(func(ev Event) {
+	g.ForEach(func(ev *Event) {
 		if !ev.Kind.IsRead() {
 			return
 		}

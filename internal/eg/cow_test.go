@@ -157,7 +157,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 		g := buildMP(t)
 		c := g.Clone()
 		key := snapshotKeyAndWF(t, g)
-		sub := g.Restrict(func(id EvID) bool { return id.T != 1 })
+		sub := g.Restrict([]int{2, 0}) // drop thread 1
 		sub.Add(Event{ID: EvID{T: 1, I: 0}, Kind: KRead, Loc: x})
 		sub.SetRF(EvID{T: 1, I: 0}, EvID{T: 0, I: 0})
 		if snapshotKeyAndWF(t, g) != key || snapshotKeyAndWF(t, c) != key {
@@ -172,7 +172,7 @@ func TestCloneEquivalentToDeepCopy(t *testing.T) {
 	const x = Loc(0)
 	g := buildMP(t)
 
-	deep := g.Restrict(func(EvID) bool { return true }) // Restrict is a deep copy
+	deep := g.Restrict([]int{2, 2}) // Restrict is a deep copy
 	cow := g.Clone()
 
 	mutate := func(m *Graph) {
@@ -189,4 +189,91 @@ func TestCloneEquivalentToDeepCopy(t *testing.T) {
 	if err := cow.CheckWellFormed(); err != nil {
 		t.Fatalf("COW clone ill-formed: %v", err)
 	}
+}
+
+// TestCloneRFSlotOwnership covers the per-thread rf slots: a clone owns
+// none of them, and SetRF or Add on one thread copies that thread's
+// slots only, so neither the parent nor a sibling clone sees the edge.
+func TestCloneRFSlotOwnership(t *testing.T) {
+	const x = Loc(0)
+	wx, rx := EvID{T: 0, I: 0}, EvID{T: 1, I: 1}
+
+	t.Run("SiblingSetRFsDoNotCollide", func(t *testing.T) {
+		g := buildMP(t)
+		key := snapshotKeyAndWF(t, g)
+		c1, c2 := g.Clone(), g.Clone()
+		c1.SetRF(rx, wx)
+		if w, _ := c2.RF(rx); w != InitID(x) {
+			t.Fatalf("sibling sees the other clone's rf edge: %v", w)
+		}
+		c2.Add(Event{ID: EvID{T: 1, I: 2}, Kind: KRead, Loc: x})
+		c2.SetRF(EvID{T: 1, I: 2}, wx)
+		if w, _ := c1.RF(rx); w != wx {
+			t.Fatalf("clone 1 lost its rf edge: %v", w)
+		}
+		if c1.ThreadLen(1) != 2 {
+			t.Fatalf("clone 1 gained the sibling's event")
+		}
+		if _, ok := c1.RF(EvID{T: 1, I: 2}); ok {
+			t.Fatalf("clone 1 sees the sibling's new rf slot")
+		}
+		if snapshotKeyAndWF(t, g) != key {
+			t.Fatalf("parent changed by its clones' SetRF")
+		}
+		snapshotKeyAndWF(t, c1)
+		snapshotKeyAndWF(t, c2)
+	})
+
+	t.Run("SetRFCopiesOnlyItsThread", func(t *testing.T) {
+		g := buildMP(t)
+		c := g.Clone()
+		c.SetRF(rx, wx)
+		if &c.rf[1][0] == &g.rf[1][0] {
+			t.Fatalf("SetRF on thread 1 did not copy thread 1's slots")
+		}
+		if len(g.rf[0]) > 0 && &c.rf[0][0] != &g.rf[0][0] {
+			t.Fatalf("SetRF on thread 1 copied thread 0's slots")
+		}
+		if &c.threads[1][0] != &g.threads[1][0] {
+			t.Fatalf("SetRF copied thread 1's events")
+		}
+	})
+
+	t.Run("ReadersOfOrderUnchanged", func(t *testing.T) {
+		// Readers of wx in three threads, added out of (thread, index)
+		// order: ReadersOf lists them by (thread, index) in the graph, a
+		// clone and a clone with a rebound reader.
+		g := NewGraph(3, 1)
+		g.Add(Event{ID: wx, Kind: KWrite, Loc: x, Val: 1})
+		g.CoInsert(x, 0, wx)
+		for _, id := range []EvID{{T: 2, I: 0}, {T: 0, I: 1}, {T: 1, I: 0}, {T: 2, I: 1}} {
+			g.Add(Event{ID: id, Kind: KRead, Loc: x})
+			g.SetRF(id, wx)
+		}
+		want := []EvID{{T: 0, I: 1}, {T: 1, I: 0}, {T: 2, I: 0}, {T: 2, I: 1}}
+		c := g.Clone()
+		c.SetRF(EvID{T: 1, I: 0}, InitID(x))
+		for _, tc := range []struct {
+			name string
+			got  []EvID
+			want []EvID
+		}{
+			{"graph", g.ReadersOf(wx), want},
+			{"clone", g.Clone().ReadersOf(wx), want},
+			{"rebound clone", c.ReadersOf(wx), []EvID{{T: 0, I: 1}, {T: 2, I: 0}, {T: 2, I: 1}}},
+			{"rebound clone, init", c.ReadersOf(InitID(x)), []EvID{{T: 1, I: 0}}},
+		} {
+			if len(tc.got) != len(tc.want) {
+				t.Fatalf("%s: ReadersOf = %v, want %v", tc.name, tc.got, tc.want)
+			}
+			for i := range tc.want {
+				if tc.got[i] != tc.want[i] {
+					t.Fatalf("%s: ReadersOf = %v, want %v", tc.name, tc.got, tc.want)
+				}
+			}
+		}
+		if !c.HasReaders(InitID(x)) || g.HasReaders(InitID(x)) {
+			t.Fatalf("HasReaders(init) wrong after rebinding a clone")
+		}
+	})
 }

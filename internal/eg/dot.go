@@ -45,15 +45,9 @@ func (g *Graph) WriteDot(w io.Writer, locName func(Loc) string) error {
 	sb.WriteString("digraph execution {\n  rankdir=TB;\n  node [shape=box, fontname=\"monospace\"];\n")
 
 	// Init events, only those actually read from (less clutter).
-	usedInit := map[EvID]bool{}
-	for _, src := range g.rf {
-		if src.IsInit() {
-			usedInit[src] = true
-		}
-	}
 	for l := 0; l < g.numLocs; l++ {
 		id := InitID(Loc(l))
-		if usedInit[id] || len(g.co[l]) > 0 {
+		if g.HasReaders(id) || len(g.co[l]) > 0 {
 			fmt.Fprintf(&sb, "  %s [label=%q, style=dotted];\n", node(id), label(g.Event(id)))
 		}
 	}
@@ -70,16 +64,13 @@ func (g *Graph) WriteDot(w io.Writer, locName func(Loc) string) error {
 		sb.WriteString("  }\n")
 	}
 
-	// rf edges.
-	ids := make([]EvID, 0, len(g.rf))
-	for r := range g.rf {
-		ids = append(ids, r)
-	}
-	SortEvIDs(ids)
-	for _, r := range ids {
-		fmt.Fprintf(&sb, "  %s -> %s [color=darkgreen, label=rf, fontcolor=darkgreen];\n",
-			node(g.rf[r]), node(r))
-	}
+	// rf edges, in reader (thread, index) order.
+	g.ForEach(func(ev *Event) {
+		if w, ok := g.RF(ev.ID); ok {
+			fmt.Fprintf(&sb, "  %s -> %s [color=darkgreen, label=rf, fontcolor=darkgreen];\n",
+				node(w), node(ev.ID))
+		}
+	})
 
 	// co edges between consecutive writes (including init).
 	for l := 0; l < g.numLocs; l++ {
@@ -91,7 +82,7 @@ func (g *Graph) WriteDot(w io.Writer, locName func(Loc) string) error {
 	}
 
 	// Dependency edges (fixed kind order keeps output deterministic).
-	g.ForEach(func(ev Event) {
+	g.ForEach(func(ev *Event) {
 		for _, dk := range []struct {
 			kind string
 			set  []EvID

@@ -1,7 +1,7 @@
 // Package eg implements execution graphs: the partial-order representation
 // of a concurrent program run that stateless model checking for weak memory
 // models operates on. A graph consists of per-thread sequences of events
-// (reads, writes, atomic updates, fences) together with a reads-from map
+// (reads, writes, atomic updates, fences) together with a reads-from function
 // (rf), a per-location coherence order (co), and syntactic dependency edges
 // (address, data, control) used by hardware memory models.
 package eg

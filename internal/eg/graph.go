@@ -2,36 +2,44 @@ package eg
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Graph is an execution graph under construction or complete. It owns the
-// per-thread event sequences, the reads-from map and the per-location
-// coherence orders. The zero value is unusable; construct with NewGraph.
+// per-thread event sequences, the reads-from function and the
+// per-location coherence orders. The zero value is unusable; construct
+// with NewGraph.
+//
+// The layout is dense: rf is a per-thread slot slice aligned with the
+// thread's events, rf[t][i] holding the source of read (t, i) or noRF.
 //
 // Invariants (checked by CheckWellFormed):
-//   - threads[t] holds events with IDs {T: t, I: 0..len-1} in order;
-//   - every read/update has an rf edge to a same-location write (or init);
+//   - threads[t] holds events with IDs {T: t, I: 0..len-1} in order, and
+//     rf[t] has the same length;
+//   - every read/update has an rf source that is a same-location write
+//     (or init); every other event's slot is noRF;
 //   - co[l] lists exactly the non-init writes/updates to location l, in
 //     coherence order (the init write is implicitly first);
 //   - stamps are unique and reflect addition order.
 type Graph struct {
 	numLocs int
 	threads [][]Event
-	rf      map[EvID]EvID
+	rf      [][]EvID
 	co      [][]EvID
 	next    int // next stamp
 
-	// Copy-on-write state. Clone shares the thread slices, the rf map and
+	// Copy-on-write state. Clone shares the event slices, the rf slots and
 	// the co lists between parent and clone; a piece is deep-copied only
-	// when a graph that does not own it is about to mutate it. A false flag
-	// means "possibly shared: copy before writing".
-	ownT  []bool
-	ownRF bool
-	ownCo []bool
+	// when a graph that does not own it is about to mutate it. own holds
+	// one flag per piece — threads, then rf slots, then locations — and a
+	// false flag means "possibly shared: copy before writing".
+	own []bool
 }
+
+// noRF marks the rf slot of an event that has no rf source: a non-read,
+// or a read not yet bound.
+var noRF = EvID{T: InitThread - 1}
 
 // NewGraph returns an empty graph for a program with the given number of
 // threads and shared locations. Initial writes (value 0) exist implicitly
@@ -40,6 +48,30 @@ func NewGraph(numThreads, numLocs int) *Graph {
 	g := newOwned(numThreads, numLocs)
 	g.next = 1
 	return g
+}
+
+// newOwned returns an empty graph shell whose every piece is exclusively
+// owned — the construction target for operations that build fresh deep
+// structures (Restrict, RenameThreads).
+func newOwned(numThreads, numLocs int) *Graph {
+	g := newShell(numThreads, numLocs)
+	for i := range g.own {
+		g.own[i] = true
+	}
+	return g
+}
+
+// newShell allocates a graph's tables with nothing owned: rf slots and co
+// lists share one backing array of slice headers.
+func newShell(numThreads, numLocs int) *Graph {
+	slots := make([][]EvID, numThreads+numLocs)
+	return &Graph{
+		numLocs: numLocs,
+		threads: make([][]Event, numThreads),
+		rf:      slots[:numThreads:numThreads],
+		co:      slots[numThreads:],
+		own:     make([]bool, 2*numThreads+numLocs),
+	}
 }
 
 // NumThreads returns the number of program threads.
@@ -61,62 +93,51 @@ func (g *Graph) NumEvents() int {
 }
 
 // Clone returns a copy of g (stamps preserved). The copy is lazy: parent
-// and clone share the thread slices, the rf map and the co lists until one
-// of them mutates a piece, which is deep-copied at that point. Both sides
-// give up ownership — in-place patches like SetEventVal and slice appends
-// into shared backing arrays would otherwise leak between the two graphs.
-// Clone must only be called by a goroutine with exclusive write access to
-// g (the explorer clones before forking, never on a shared graph).
+// and clone share the event slices, the rf slots and the co lists until
+// one of them mutates a piece, which is deep-copied at that point. Both
+// sides give up ownership — in-place patches like SetEventVal and slice
+// appends into shared backing arrays would otherwise leak between the two
+// graphs. Clone must only be called by a goroutine with exclusive write
+// access to g (the explorer clones before forking, never on a shared
+// graph).
 func (g *Graph) Clone() *Graph {
-	for t := range g.ownT {
-		g.ownT[t] = false
-	}
-	g.ownRF = false
-	for l := range g.ownCo {
-		g.ownCo[l] = false
-	}
-	c := &Graph{
-		numLocs: g.numLocs,
-		threads: append(make([][]Event, 0, len(g.threads)), g.threads...),
-		rf:      g.rf,
-		co:      append(make([][]EvID, 0, len(g.co)), g.co...),
-		next:    g.next,
-		ownT:    make([]bool, len(g.threads)),
-		ownCo:   make([]bool, len(g.co)),
-	}
+	clear(g.own)
+	c := newShell(len(g.threads), g.numLocs)
+	c.next = g.next
+	copy(c.threads, g.threads)
+	copy(c.rf, g.rf)
+	copy(c.co, g.co)
 	return c
 }
 
-// ownThread ensures g exclusively owns threads[t] before a mutation,
-// copying the shared slice if necessary.
+// ownThread ensures g exclusively owns thread t's events before a
+// mutation, copying the shared slice if necessary.
 func (g *Graph) ownThread(t int) {
-	if g.ownT[t] {
+	if g.own[t] {
 		return
 	}
 	g.threads[t] = append(make([]Event, 0, len(g.threads[t])+1), g.threads[t]...)
-	g.ownT[t] = true
+	g.own[t] = true
 }
 
-// ownRFMap ensures g exclusively owns its rf map before a mutation.
-func (g *Graph) ownRFMap() {
-	if g.ownRF {
+// ownRF ensures g exclusively owns thread t's rf slots before a mutation.
+func (g *Graph) ownRF(t int) {
+	i := len(g.threads) + t
+	if g.own[i] {
 		return
 	}
-	m := make(map[EvID]EvID, len(g.rf)+1)
-	for r, w := range g.rf { //hmc:nondet(map-to-map copy: same entries land regardless of order)
-		m[r] = w
-	}
-	g.rf = m
-	g.ownRF = true
+	g.rf[t] = append(make([]EvID, 0, len(g.rf[t])+1), g.rf[t]...)
+	g.own[i] = true
 }
 
 // ownCoLoc ensures g exclusively owns co[l] before a mutation.
 func (g *Graph) ownCoLoc(l Loc) {
-	if g.ownCo[l] {
+	i := 2*len(g.threads) + int(l)
+	if g.own[i] {
 		return
 	}
 	g.co[l] = append(make([]EvID, 0, len(g.co[l])+1), g.co[l]...)
-	g.ownCo[l] = true
+	g.own[i] = true
 }
 
 // Add appends ev to its thread, assigning the next stamp. The event's
@@ -136,6 +157,8 @@ func (g *Graph) Add(ev Event) {
 	g.next++
 	g.ownThread(t)
 	g.threads[t] = append(g.threads[t], ev)
+	g.ownRF(t)
+	g.rf[t] = append(g.rf[t], noRF)
 }
 
 // Has reports whether the event id is present (init events always are).
@@ -146,8 +169,8 @@ func (g *Graph) Has(id EvID) bool {
 	return id.T >= 0 && id.T < len(g.threads) && id.I >= 0 && id.I < len(g.threads[id.T])
 }
 
-// Event returns the event with the given id. Init IDs yield a synthetic
-// KInit event with stamp 0.
+// Event returns a copy of the event with the given id. Init IDs yield a
+// synthetic KInit event with stamp 0.
 func (g *Graph) Event(id EvID) Event {
 	if id.IsInit() {
 		if id.I < 0 || id.I >= g.numLocs {
@@ -158,50 +181,72 @@ func (g *Graph) Event(id EvID) Event {
 	return g.threads[id.T][id.I]
 }
 
+// At returns the non-init event id in place, without copying it. The
+// pointer is read-only, and it goes stale after any mutation of the
+// event's thread (Add, SetEventVal, SetEventKind): the mutation may move
+// the thread to a fresh slice, so read what is needed before mutating.
+func (g *Graph) At(id EvID) *Event { return &g.threads[id.T][id.I] }
+
 // SetRF records that read r reads from write w. Both must be present,
 // r must be a read/update, w a write/update/init, and locations must match.
 func (g *Graph) SetRF(r, w EvID) {
-	re := g.Event(r)
-	we := g.Event(w)
+	if r.IsInit() {
+		panic(fmt.Sprintf("eg: SetRF source %v is not a read", r))
+	}
+	re := g.At(r)
 	if !re.Kind.IsRead() {
 		panic(fmt.Sprintf("eg: SetRF source %v is not a read", r))
 	}
-	if !we.Kind.IsWrite() {
+	wKind, wLoc := KInit, Loc(w.I)
+	if !w.IsInit() {
+		we := g.At(w)
+		wKind, wLoc = we.Kind, we.Loc
+	} else if w.I < 0 || w.I >= g.numLocs {
+		panic(fmt.Sprintf("eg: init event for unknown location %d", w.I))
+	}
+	if !wKind.IsWrite() {
 		panic(fmt.Sprintf("eg: SetRF target %v is not a write", w))
 	}
-	if re.Loc != we.Loc {
-		panic(fmt.Sprintf("eg: SetRF location mismatch %v vs %v", re, we))
+	if re.Loc != wLoc {
+		panic(fmt.Sprintf("eg: SetRF location mismatch %v vs %v", *re, g.Event(w)))
 	}
-	g.ownRFMap()
-	g.rf[r] = w
+	g.ownRF(r.T)
+	g.rf[r.T][r.I] = w
 }
 
 // HasReaders reports whether any read in the graph reads from w.
 func (g *Graph) HasReaders(w EvID) bool {
-	for _, src := range g.rf { //hmc:nondet(existential scan: any reader answers, order-invariant)
-		if src == w {
-			return true
+	for _, slots := range g.rf {
+		for _, src := range slots {
+			if src == w {
+				return true
+			}
 		}
 	}
 	return false
 }
 
-// ReadersOf returns the reads whose rf source is w, in stable order.
+// ReadersOf returns the reads whose rf source is w, in (thread, index)
+// order.
 func (g *Graph) ReadersOf(w EvID) []EvID {
 	var out []EvID
-	for r, src := range g.rf {
-		if src == w {
-			out = append(out, r)
+	for t, slots := range g.rf {
+		for i, src := range slots {
+			if src == w {
+				out = append(out, EvID{T: t, I: i})
+			}
 		}
 	}
-	SortEvIDs(out)
 	return out
 }
 
 // RF returns the write that read r reads from.
 func (g *Graph) RF(r EvID) (EvID, bool) {
-	w, ok := g.rf[r]
-	return w, ok
+	if r.IsInit() || !g.Has(r) {
+		return EvID{}, false
+	}
+	w := g.rf[r.T][r.I]
+	return w, w != noRF
 }
 
 // CoLoc returns the coherence order of location l, excluding the implicit
@@ -261,12 +306,12 @@ func (g *Graph) ValueOf(w EvID) int64 {
 	if w.IsInit() {
 		return 0
 	}
-	return g.Event(w).Val
+	return g.At(w).Val
 }
 
 // ReadValue returns the value observed by read r via its rf edge.
 func (g *Graph) ReadValue(r EvID) (int64, bool) {
-	w, ok := g.rf[r]
+	w, ok := g.RF(r)
 	if !ok {
 		return 0, false
 	}
@@ -277,8 +322,7 @@ func (g *Graph) ReadValue(r EvID) (int64, bool) {
 // replay repair after a backward revisit rebinds a read that feeds the
 // event's data.
 func (g *Graph) SetEventVal(id EvID, val int64) {
-	ev := g.Event(id)
-	if !ev.Kind.IsWrite() || ev.Kind == KInit {
+	if id.IsInit() || !g.At(id).Kind.IsWrite() {
 		panic(fmt.Sprintf("eg: SetEventVal on non-write %v", id))
 	}
 	g.ownThread(id.T)
@@ -306,28 +350,6 @@ func (g *Graph) CoRemove(l Loc, w EvID) {
 	g.co[l] = append(g.co[l][:i], g.co[l][i+1:]...)
 }
 
-// newOwned returns an empty graph shell whose every piece is exclusively
-// owned — the construction target for operations that build fresh deep
-// structures (Restrict, RenameThreads).
-func newOwned(numThreads, numLocs int) *Graph {
-	g := &Graph{
-		numLocs: numLocs,
-		threads: make([][]Event, numThreads),
-		rf:      make(map[EvID]EvID),
-		co:      make([][]EvID, numLocs),
-		ownT:    make([]bool, numThreads),
-		ownRF:   true,
-		ownCo:   make([]bool, numLocs),
-	}
-	for t := range g.ownT {
-		g.ownT[t] = true
-	}
-	for l := range g.ownCo {
-		g.ownCo[l] = true
-	}
-	return g
-}
-
 // LastEvent returns the po-last event of thread t, or ok=false if the
 // thread has no events yet.
 func (g *Graph) LastEvent(t int) (Event, bool) {
@@ -341,48 +363,47 @@ func (g *Graph) LastEvent(t int) (Event, bool) {
 // MaxStamp returns the largest stamp assigned so far.
 func (g *Graph) MaxStamp() int { return g.next - 1 }
 
-// ForEach calls fn for every non-init event in (thread, index) order.
-func (g *Graph) ForEach(fn func(Event)) {
+// ForEach calls fn for every non-init event in (thread, index) order. The
+// event is passed in place: fn must not mutate g, nor keep the pointer
+// past the call.
+func (g *Graph) ForEach(fn func(*Event)) {
 	for _, th := range g.threads {
-		for _, ev := range th {
-			fn(ev)
+		for i := range th {
+			fn(&th[i])
 		}
 	}
 }
 
-// Restrict returns a new graph containing exactly the events for which
-// keep returns true. The kept set must be po-prefix-closed per thread
-// (Restrict panics otherwise). rf edges whose reader is kept but whose
-// writer was deleted are dropped (the caller re-binds them); coherence
-// orders are filtered. Stamps of surviving events are preserved, and the
-// stamp counter stays at its high-water mark so newly added events are
-// stamped after every surviving event.
-func (g *Graph) Restrict(keep func(EvID) bool) *Graph {
+// Restrict returns a new graph keeping, in each thread t, the po-prefix of
+// its first cut[t] events — a po-prefix-closed set by construction. It
+// panics when cut does not name every thread or names a prefix longer
+// than the thread. rf edges whose reader is kept but whose writer was
+// deleted are dropped (the caller re-binds them); coherence orders are
+// filtered. Stamps of surviving events are preserved, and the stamp
+// counter stays at its high-water mark so newly added events are stamped
+// after every surviving event.
+func (g *Graph) Restrict(cut []int) *Graph {
+	if len(cut) != len(g.threads) {
+		panic(fmt.Sprintf("eg: Restrict cut names %d threads, graph has %d", len(cut), len(g.threads)))
+	}
+	kept := func(id EvID) bool { return id.IsInit() || id.I < cut[id.T] }
 	c := newOwned(len(g.threads), g.numLocs)
 	c.next = g.next
 	for t, th := range g.threads {
-		cut := len(th)
-		for i, ev := range th {
-			if !keep(ev.ID) {
-				cut = i
-				break
-			}
+		if cut[t] < 0 || cut[t] > len(th) {
+			panic(fmt.Sprintf("eg: Restrict cut %d for thread %d of %d events", cut[t], t, len(th)))
 		}
-		for i := cut; i < len(th); i++ {
-			if keep(th[i].ID) {
-				panic(fmt.Sprintf("eg: Restrict keep-set not po-prefix-closed at %v", th[i].ID))
+		c.threads[t] = append([]Event(nil), th[:cut[t]]...)
+		c.rf[t] = append([]EvID(nil), g.rf[t][:cut[t]]...)
+		for i, w := range c.rf[t] {
+			if w != noRF && !kept(w) {
+				c.rf[t][i] = noRF
 			}
-		}
-		c.threads[t] = append([]Event(nil), th[:cut]...)
-	}
-	for r, w := range g.rf { //hmc:nondet(filtered map-to-map copy: membership test per entry, order-invariant)
-		if c.Has(r) && c.Has(w) {
-			c.rf[r] = w
 		}
 	}
 	for l, ws := range g.co {
 		for _, w := range ws {
-			if c.Has(w) {
+			if kept(w) {
 				c.co[l] = append(c.co[l], w)
 			}
 		}
@@ -407,24 +428,34 @@ func (g *Graph) Key() string {
 		b = append(b, ':')
 		b = strconv.AppendInt(b, int64(id.I), 10)
 	}
+	// An unbound read keys as reading the zero EvID ("0:0"); the golden
+	// tests pin this format.
+	appendRF := func(t, i int) {
+		w := g.rf[t][i]
+		if w == noRF {
+			w = EvID{}
+		}
+		appendID(w)
+	}
 	for t, th := range g.threads {
 		b = append(b, 'T')
 		b = strconv.AppendInt(b, int64(t), 10)
 		b = append(b, '[')
-		for _, ev := range th {
+		for i := range th {
+			ev := &th[i]
 			switch ev.Kind {
 			case KRead:
 				b = append(b, 'R')
 				b = strconv.AppendInt(b, int64(ev.Loc), 10)
 				b = append(b, '<')
-				appendID(g.rf[ev.ID])
+				appendRF(t, i)
 			case KUpdate:
 				b = append(b, 'U')
 				b = strconv.AppendInt(b, int64(ev.Loc), 10)
 				b = append(b, '=')
 				b = strconv.AppendInt(b, ev.Val, 10)
 				b = append(b, '<')
-				appendID(g.rf[ev.ID])
+				appendRF(t, i)
 			case KWrite:
 				b = append(b, 'W')
 				b = strconv.AppendInt(b, int64(ev.Loc), 10)
@@ -467,7 +498,7 @@ func (g *Graph) StringNamed(locName func(Loc) string) string {
 			sb.WriteString("  ")
 			sb.WriteString(ev.StringNamed(locName))
 			if ev.Kind.IsRead() {
-				if w, ok := g.rf[ev.ID]; ok {
+				if w, ok := g.RF(ev.ID); ok {
 					src := w.String()
 					if w.IsInit() {
 						src = "init[" + locName(Loc(w.I)) + "]"
@@ -497,6 +528,9 @@ func (g *Graph) StringNamed(locName func(Loc) string) string {
 func (g *Graph) CheckWellFormed() error {
 	seen := map[int]EvID{0: {T: InitThread, I: 0}}
 	for t, th := range g.threads {
+		if len(g.rf[t]) != len(th) {
+			return fmt.Errorf("thread %d has %d events but %d rf slots", t, len(th), len(g.rf[t]))
+		}
 		for i, ev := range th {
 			if ev.ID.T != t || ev.ID.I != i {
 				return fmt.Errorf("event at thread %d pos %d has ID %v", t, i, ev.ID)
@@ -505,8 +539,11 @@ func (g *Graph) CheckWellFormed() error {
 				return fmt.Errorf("duplicate stamp %d on %v and %v", ev.Stamp, prev, ev.ID)
 			}
 			seen[ev.Stamp] = ev.ID
+			if !ev.Kind.IsRead() && g.rf[t][i] != noRF {
+				return fmt.Errorf("non-read %v has an rf edge", ev.ID)
+			}
 			if ev.Kind.IsRead() {
-				w, ok := g.rf[ev.ID]
+				w, ok := g.RF(ev.ID)
 				if !ok {
 					return fmt.Errorf("read %v has no rf edge", ev.ID)
 				}
@@ -530,12 +567,6 @@ func (g *Graph) CheckWellFormed() error {
 			}
 		}
 	}
-	//hmc:nondet(validation sweep: pass/fail is order-invariant; the offending edge in the error is diagnostic only)
-	for r := range g.rf {
-		if !g.Has(r) {
-			return fmt.Errorf("rf edge from absent read %v", r)
-		}
-	}
 	for l := 0; l < g.numLocs; l++ {
 		inCo := map[EvID]bool{}
 		for _, w := range g.co[l] {
@@ -552,7 +583,7 @@ func (g *Graph) CheckWellFormed() error {
 			}
 		}
 		count := 0
-		g.ForEach(func(ev Event) {
+		g.ForEach(func(ev *Event) {
 			if ev.Kind.IsWrite() && ev.Loc == Loc(l) {
 				count++
 				if !inCo[ev.ID] {
@@ -567,15 +598,4 @@ func (g *Graph) CheckWellFormed() error {
 		}
 	}
 	return nil
-}
-
-// SortEvIDs sorts ids in (thread, index) order with init events first.
-func SortEvIDs(ids []EvID) {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if a.T != b.T {
-			return a.T < b.T
-		}
-		return a.I < b.I
-	})
 }

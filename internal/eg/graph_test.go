@@ -48,7 +48,7 @@ func TestAddAndEventAccess(t *testing.T) {
 func TestStampsMonotone(t *testing.T) {
 	g := buildMP(t)
 	var prev int
-	g.ForEach(func(ev Event) {
+	g.ForEach(func(ev *Event) {
 		if ev.Stamp <= 0 {
 			t.Errorf("event %v has stamp %d", ev.ID, ev.Stamp)
 		}
@@ -143,7 +143,7 @@ func TestRestrict(t *testing.T) {
 	g := buildMP(t)
 	// Drop T1's second read (a po-suffix), keep everything else.
 	dropped := EvID{T: 1, I: 1}
-	r := g.Restrict(func(id EvID) bool { return id != dropped })
+	r := g.Restrict([]int{2, 1})
 	if r.NumEvents() != 3 {
 		t.Fatalf("restricted NumEvents = %d, want 3", r.NumEvents())
 	}
@@ -164,14 +164,18 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
-func TestRestrictPanicsOnNonPrefix(t *testing.T) {
-	g := buildMP(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-prefix-closed keep set")
-		}
-	}()
-	g.Restrict(func(id EvID) bool { return id != (EvID{T: 0, I: 0}) }) // drop first, keep second
+func TestRestrictPanicsOnCutPastThread(t *testing.T) {
+	for _, cut := range [][]int{{3, 2}, {2, -1}, {2}} {
+		func() {
+			g := buildMP(t)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for cut %v of a 2x2-event graph", cut)
+				}
+			}()
+			g.Restrict(cut)
+		}()
+	}
 }
 
 func TestKeyDistinguishesRf(t *testing.T) {
@@ -207,17 +211,6 @@ func TestCheckWellFormedCatchesCoMismatch(t *testing.T) {
 	// Write never placed into co.
 	if err := g.CheckWellFormed(); err == nil {
 		t.Fatal("write missing from co must be ill-formed")
-	}
-}
-
-func TestSortEvIDs(t *testing.T) {
-	ids := []EvID{{T: 1, I: 0}, {T: 0, I: 2}, {T: InitThread, I: 0}, {T: 0, I: 1}}
-	SortEvIDs(ids)
-	want := []EvID{{T: InitThread, I: 0}, {T: 0, I: 1}, {T: 0, I: 2}, {T: 1, I: 0}}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("sorted = %v, want %v", ids, want)
-		}
 	}
 }
 

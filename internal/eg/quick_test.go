@@ -109,11 +109,11 @@ func TestQuickRenameGroupAction(t *testing.T) {
 func TestQuickRestrictIdentity(t *testing.T) {
 	prop := func(rg rndGraph) bool {
 		g := rg.G
-		all := g.Restrict(func(EvID) bool { return true })
+		all := g.Restrict(threadLens(g))
 		if all.Key() != g.Key() || all.CheckWellFormed() != nil {
 			return false
 		}
-		none := g.Restrict(func(EvID) bool { return false })
+		none := g.Restrict(make([]int, g.NumThreads()))
 		return none.NumEvents() == 0 && none.CheckWellFormed() == nil
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
@@ -184,7 +184,7 @@ func TestQuickKeySeparatesRF(t *testing.T) {
 		var read EvID
 		var alt EvID
 		found := false
-		g.ForEach(func(ev Event) {
+		g.ForEach(func(ev *Event) {
 			if found || ev.Kind != KRead {
 				return
 			}

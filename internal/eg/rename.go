@@ -37,9 +37,11 @@ func (g *Graph) RenameThreads(perm []int) *Graph {
 			nth[i] = ev
 		}
 		c.threads[perm[t]] = nth
-	}
-	for r, w := range g.rf { //hmc:nondet(map-to-map rename: keys are distinct, so insertions commute)
-		c.rf[ren(r)] = ren(w)
+		slots := make([]EvID, len(th))
+		for i, w := range g.rf[t] {
+			slots[i] = ren(w)
+		}
+		c.rf[perm[t]] = slots
 	}
 	for l, ws := range g.co {
 		c.co[l] = renAll(ws)

@@ -181,7 +181,7 @@ func (v *View) Rf() *relation.Rel {
 		if !ev.Kind.IsRead() {
 			continue
 		}
-		if w, ok := v.G.rf[ev.ID]; ok {
+		if w := v.G.rf[ev.ID.T][ev.ID.I]; w != noRF {
 			r.Add(v.Idx(w), b)
 		}
 	}
@@ -240,8 +240,8 @@ func (v *View) Fr() *relation.Rel {
 		if !ev.Kind.IsRead() {
 			continue
 		}
-		w, ok := v.G.rf[ev.ID]
-		if !ok {
+		w := v.G.rf[ev.ID.T][ev.ID.I]
+		if w == noRF {
 			continue
 		}
 		ws := v.G.co[ev.Loc]

@@ -893,9 +893,17 @@ func T15ProgressOverhead(opts Options) (*Table, error) {
 	// progRun explores with progress enabled; the sink counts deliveries
 	// and keeps the last snapshot so the final one can be checked against
 	// the result.
+	// Every timed run starts on a settled heap: left to itself, the GC
+	// debt of one run lands in the next, and with back-to-back pairs it can
+	// land on the same side of every pair, which reads as overhead.
+	straightRun := func(j job) (*core.Result, time.Duration, error) {
+		runtime.GC()
+		return explore("T15", j.p, j.model)
+	}
 	progRun := func(j job, every time.Duration) (*core.Result, time.Duration, int, error) {
 		snaps := 0
 		var last obs.ProgressSnapshot
+		runtime.GC()
 		res, d, err := exploreOpts("T15", j.p, j.model, core.Options{
 			Progress: &core.ProgressOptions{
 				Every: every,
@@ -917,7 +925,7 @@ func T15ProgressOverhead(opts Options) (*Table, error) {
 	}
 
 	for _, j := range jobs {
-		straight, t0, err := explore("T15", j.p, j.model)
+		straight, t0, err := straightRun(j)
 		if err != nil {
 			return nil, err
 		}
@@ -944,7 +952,7 @@ func T15ProgressOverhead(opts Options) (*Table, error) {
 				best0, bestO := t0, to
 				ratio := float64(to) / float64(t0)
 				for attempt := 0; ratio > bar && best0 >= 200*time.Millisecond && attempt < 4; attempt++ {
-					_, d0, err := explore("T15", j.p, j.model)
+					_, d0, err := straightRun(j)
 					if err != nil {
 						return nil, err
 					}

@@ -201,11 +201,14 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 		return v, taint
 	}
 
-	nextEvent := func() (eg.Event, bool) {
+	// nextEvent returns the next graph event in place (see eg.Graph.At):
+	// the repair branches below read what they need from it before they
+	// patch the graph.
+	nextEvent := func() (*eg.Event, bool) {
 		if consumed < g.ThreadLen(t) {
-			return g.Event(eg.EvID{T: t, I: consumed}), true
+			return g.At(eg.EvID{T: t, I: consumed}), true
 		}
-		return eg.Event{}, false
+		return nil, false
 	}
 
 	for {
@@ -279,7 +282,7 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 					if !repair {
 						return diverge("graph W x%d=%d, program writes %d", ev.Loc, ev.Val, vv)
 					}
-					g.SetEventVal(ev.ID, vv)
+					g.SetEventVal(ev.ID, vv) // ev is stale from here on
 					changed = true
 				}
 				consumed++
@@ -319,47 +322,50 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 				if repair && !sameDeps(ev, at, a.Data, ctrl) {
 					return diverge("dependency sets changed at %v", ev.ID)
 				}
-				readVal, haveRF := g.ReadValue(ev.ID)
+				// The repairs below patch the graph, which makes ev stale:
+				// everything they need is read from it first.
+				id, kind, val := ev.ID, ev.Kind, ev.Val
+				readVal, haveRF := g.ReadValue(id)
 				if !haveRF {
-					return diverge("rmw %v has no rf", ev.ID)
+					return diverge("rmw %v has no rf", id)
 				}
 				// Reconcile the event's kind and written value with the
 				// (possibly rebound) value read.
 				wantKind, wantVal := rmwOutcome(a, readVal)
-				if ev.Kind != wantKind {
+				if kind != wantKind {
 					if !repair {
-						return diverge("CAS %v kind %v, want %v for read value %d", ev.ID, ev.Kind, wantKind, readVal)
+						return diverge("CAS %v kind %v, want %v for read value %d", id, kind, wantKind, readVal)
 					}
-					src, _ := g.RF(ev.ID)
+					src, _ := g.RF(id)
 					if wantKind == eg.KUpdate {
-						g.SetEventKind(ev.ID, eg.KUpdate)
-						g.SetEventVal(ev.ID, wantVal)
-						g.CoInsert(loc, g.CoIndex(loc, src)+1, ev.ID)
+						g.SetEventKind(id, eg.KUpdate)
+						g.SetEventVal(id, wantVal)
+						g.CoInsert(loc, g.CoIndex(loc, src)+1, id)
 					} else {
 						// Demote to a plain read. Readers of the vanishing
 						// write inherit its rf source: they were coherence-
 						// adjacent through it, and dropping the update from
 						// co splices them onto that source. Their values are
 						// repaired on subsequent passes.
-						for _, rd := range g.ReadersOf(ev.ID) {
+						for _, rd := range g.ReadersOf(id) {
 							g.SetRF(rd, src)
 						}
-						g.CoRemove(loc, ev.ID)
-						g.SetEventKind(ev.ID, eg.KRead)
+						g.CoRemove(loc, id)
+						g.SetEventKind(id, eg.KRead)
 					}
 					changed = true
-				} else if wantKind == eg.KUpdate && ev.Val != wantVal {
+				} else if wantKind == eg.KUpdate && val != wantVal {
 					if !repair {
-						return diverge("graph U x%d=%d, program writes %d", ev.Loc, ev.Val, wantVal)
+						return diverge("graph U x%d=%d, program writes %d", loc, val, wantVal)
 					}
-					g.SetEventVal(ev.ID, wantVal)
+					g.SetEventVal(id, wantVal)
 					changed = true
 				}
 				regs[in.Dst] = readVal
-				taints[in.Dst] = []eg.EvID{ev.ID}
+				taints[in.Dst] = []eg.EvID{id}
 				if in.Op == prog.ICAS && in.Succ >= 0 {
 					regs[in.Succ] = b2i(wantKind == eg.KUpdate)
-					taints[in.Succ] = []eg.EvID{ev.ID}
+					taints[in.Succ] = []eg.EvID{id}
 				}
 				consumed++
 				continue
@@ -474,7 +480,7 @@ func b2i(b bool) int64 {
 
 // sameDeps compares an event's recorded dependency sets against freshly
 // computed taints.
-func sameDeps(ev eg.Event, addr, data, ctrl []eg.EvID) bool {
+func sameDeps(ev *eg.Event, addr, data, ctrl []eg.EvID) bool {
 	return equalIDs(ev.Addr, addr) && equalIDs(ev.Data, data) && equalIDs(ev.Ctrl, ctrl)
 }
 

@@ -80,7 +80,7 @@ func storeBufferConsistent(v *eg.View, relaxWW bool) bool {
 		return false // incoherent
 	}
 	d.Rollback(mark)
-	return d.AddRelAcyclic(storeBufferPPO(v, relaxWW)) && d.AddRelAcyclic(v.Rfe())
+	return d.AddRelAcyclic(storeBufferPPO(v, relaxWW, s)) && d.AddRelAcyclic(v.Rfe())
 }
 
 // storeBufferPPO computes preserved program order for the store-buffer
@@ -97,8 +97,8 @@ func storeBufferConsistent(v *eg.View, relaxWW bool) bool {
 // Separation is decided in O(1) per pair from prefix counts of separator
 // events: the view lays each thread out contiguously in dense order, so
 // the separators strictly between same-thread events a < b are exactly
-// those in the dense interval (a, b).
-func storeBufferPPO(v *eg.View, relaxWW bool) *relation.Rel {
+// those in the dense interval (a, b). The prefix arrays live in s.
+func storeBufferPPO(v *eg.View, relaxWW bool, s *scratch) *relation.Rel {
 	po := v.Po()
 	ppo := po.Clone()
 
@@ -107,8 +107,9 @@ func storeBufferPPO(v *eg.View, relaxWW bool) *relation.Rel {
 
 	// pFull[i] / pWW[i] = number of full / store-store separators among
 	// Events[0..i).
-	pFull := make([]int, v.N+1)
-	pWW := make([]int, v.N+1)
+	s.pFull = fill(s.pFull, v.N+1, 0)
+	s.pWW = fill(s.pWW, v.N+1, 0)
+	pFull, pWW := s.pFull, s.pWW
 	for i := range v.Events {
 		e := &v.Events[i]
 		f, w := 0, 0

@@ -37,14 +37,17 @@ type Model interface {
 
 // scratch is the pooled working set of one consistency check: the
 // incremental acyclicity checker every streaming predicate feeds, plus the
-// per-event tables of the hardware models (imm.go). getScratch hands one
-// out with the checker reset to the requested universe, putScratch returns
-// it; the per-check cost is then the streamed edges, not allocation.
+// per-event tables of the hardware models (imm.go, hardware_sb.go).
+// getScratch hands one out with the checker reset to the requested
+// universe, putScratch returns it; the per-check cost is then the streamed
+// edges, not allocation.
 type scratch struct {
 	d     *relation.DeltaRel
 	rfSrc []int // dense index of each read's rf source, or -1
 	key   []int // eco position of each memory event, or -1 (see ecoKeys)
 	order []int // d's topological order
+	pFull []int // full-separator prefix counts (see storeBufferPPO)
+	pWW   []int // store-store-separator prefix counts
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{d: relation.NewDelta(0)} }}

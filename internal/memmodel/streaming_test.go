@@ -116,8 +116,10 @@ func TestPropStoreBufferPPOMatchesLegacy(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randExecGraph(rng)
 		v := eg.NewView(g)
+		s := getScratch(v.N)
+		defer putScratch(s)
 		for _, relaxWW := range []bool{false, true} {
-			if !storeBufferPPO(v, relaxWW).Equal(legacyStoreBufferPPO(v, relaxWW)) {
+			if !storeBufferPPO(v, relaxWW, s).Equal(legacyStoreBufferPPO(v, relaxWW)) {
 				return false
 			}
 		}

@@ -123,7 +123,7 @@ func checkRange(pass *analysis.Pass, rng *ast.RangeStmt, fnSorts bool, fnName st
 
 // callsSorter reports whether fn's body calls any sort routine — the
 // stdlib ones, or a project helper following the Sort*/sort* naming
-// convention (eg.SortEvIDs, core's sortedSetKeys): calling one is the
+// convention (core's sortedSetKeys): calling one is the
 // collect-then-sort idiom's signature.
 func callsSorter(pass *analysis.Pass, fn *ast.FuncDecl) bool {
 	found := false

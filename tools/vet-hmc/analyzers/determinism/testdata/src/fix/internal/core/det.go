@@ -71,7 +71,7 @@ func helperSorted(m map[string]int) []string {
 	return out
 }
 
-// SortKeys stands in for the repo's Sort* helpers (eg.SortEvIDs).
+// SortKeys stands in for the repo's Sort* helpers (core's sortedSetKeys).
 func SortKeys(ks []string) {
 	sort.Strings(ks)
 }
