@@ -16,13 +16,14 @@ import (
 // resumed with nothing lost and nothing repeated.
 //
 // The mechanism is a cooperative *drain* rather than a hard stop. The
-// explorer's DFS has exactly one recursion point — visit — so when a
-// checkpoint is requested (periodic EveryExecs trigger, a context
-// cancellation under checkpointing, deterministic fault injection via
-// Options.FailAfter, or a whole-run truncation), the drain flag makes
-// every subsequent visit record its incoming graph as *pending* instead
-// of recursing, while the branch loops above it keep constructing and
-// consistency-checking children as usual. Once the wave unwinds:
+// explorer's DFS has exactly one recursion point — visit — so when a pause
+// is requested (shared.request: a periodic EveryExecs checkpoint, a
+// progress snapshot, or the end of a checkpointable run by context
+// cancellation, deterministic fault injection via Options.FailAfter, or a
+// whole-run truncation), the drain flag makes every subsequent visit
+// record its incoming graph as *pending* instead of recursing, while the
+// branch loops above it keep constructing and consistency-checking
+// children as usual. Once the wave unwinds:
 //
 //   - the memo contains exactly the states whose direct-child enumeration
 //     completed (visit inserts the key before enumerating, and a drained
@@ -34,6 +35,12 @@ import (
 // pending graph. Each unit of work — a consistency check, a revisit, a
 // completed execution — happens exactly once, on one side of the cut,
 // which is what the resume-equivalence tests assert.
+//
+// The wave loop in Explore then acts on exactly the reasons requested: it
+// captures the final checkpoint and stops for an end, emits a periodic
+// checkpoint or a progress snapshot and continues otherwise. A request
+// that arrives while a sink runs raises the drain again, so the next wave
+// serves it — a cancellation is never lost to a periodic pause.
 
 // SchemaVersion identifies the engine's result semantics: the meaning of
 // Stats counters, the state-key construction, and the exploration
@@ -130,11 +137,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if dec.More() {
 		return nil, errors.New("core: bad checkpoint: trailing data")
 	}
-	if cp.Version != CheckpointVersion {
-		return nil, fmt.Errorf("%w: wire version %d, engine reads %d", ErrCheckpointMismatch, cp.Version, CheckpointVersion)
-	}
-	if cp.Schema != SchemaVersion {
-		return nil, fmt.Errorf("%w: engine schema %d, this binary is %d", ErrCheckpointMismatch, cp.Schema, SchemaVersion)
+	if err := cp.checkVersion(); err != nil {
+		return nil, err
 	}
 	// Witness graphs travel only in wire form; a hand-crafted Stats.Errors
 	// list would smuggle in unvalidated live graphs.
@@ -256,11 +260,8 @@ func (cp *Checkpoint) Compatible(p *prog.Program, opts Options) error {
 	if opts.Model == nil {
 		return errors.New("core: Options.Model is required")
 	}
-	if cp.Version != CheckpointVersion {
-		return fmt.Errorf("%w: wire version %d, engine reads %d", ErrCheckpointMismatch, cp.Version, CheckpointVersion)
-	}
-	if cp.Schema != SchemaVersion {
-		return fmt.Errorf("%w: engine schema %d, this binary is %d", ErrCheckpointMismatch, cp.Schema, SchemaVersion)
+	if err := cp.checkVersion(); err != nil {
+		return err
 	}
 	if fp := p.Fingerprint(); cp.Fingerprint != fp {
 		return fmt.Errorf("%w: checkpoint fingerprint %.12s, program is %.12s", ErrCheckpointMismatch, cp.Fingerprint, fp)
@@ -270,6 +271,18 @@ func (cp *Checkpoint) Compatible(p *prog.Program, opts Options) error {
 	}
 	if sig := optsSignature(opts); cp.Opts != sig {
 		return fmt.Errorf("%w: checkpoint options %q, run wants %q", ErrCheckpointMismatch, cp.Opts, sig)
+	}
+	return nil
+}
+
+// checkVersion rejects a checkpoint written in another wire format or by
+// an engine with other result semantics.
+func (cp *Checkpoint) checkVersion() error {
+	if cp.Version != CheckpointVersion {
+		return fmt.Errorf("%w: wire version %d, engine reads %d", ErrCheckpointMismatch, cp.Version, CheckpointVersion)
+	}
+	if cp.Schema != SchemaVersion {
+		return fmt.Errorf("%w: engine schema %d, this binary is %d", ErrCheckpointMismatch, cp.Schema, SchemaVersion)
 	}
 	return nil
 }
@@ -308,7 +321,7 @@ func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
 	sh.res.Truncated = cp.Truncated
 	sh.res.TruncatedReason = cp.TruncatedReason
 	// A memory-budget truncation is transient, not a statement about the
-	// state space: truncateDrain checkpointed the whole in-flight frontier
+	// state space: its end request checkpointed the whole in-flight frontier
 	// before anything was dropped, so no exploration was lost. Clear the
 	// flag — if this run completes the frontier it genuinely is
 	// exhaustive, and if the budget (or another bound) trips again it will

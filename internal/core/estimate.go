@@ -173,13 +173,12 @@ const (
 )
 
 // successors enumerates the states one algorithm step away from g — the
-// same forward branches and backward revisits visit() would recurse into,
-// captured via the sink hook instead of explored. The explorer must be a
-// private scratch instance (the sink is not synchronized).
+// same forward branches and backward revisits visit() would recurse into.
+// The explorer must be a private scratch instance: successors drains it
+// for good, so visit records each successor in pending instead of
+// exploring it.
 func (e *explorer) successors(g *eg.Graph) ([]*eg.Graph, leafStatus) {
-	var kids []*eg.Graph
-	e.sink = &kids
-	defer func() { e.sink = nil }()
+	e.sh.drain.Store(true)
 	blocked := false
 	for t := range e.p.Threads {
 		a := interp.Next(e.p, g, t, e.opts.MaxSteps)
@@ -193,7 +192,7 @@ func (e *explorer) successors(g *eg.Graph) ([]*eg.Graph, leafStatus) {
 			return nil, leafError
 		default:
 			e.step(g, t, a)
-			return kids, leafInner
+			return e.sh.takePending(), leafInner
 		}
 	}
 	if blocked {

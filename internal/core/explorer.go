@@ -38,6 +38,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hmc/internal/analyze"
 	"hmc/internal/eg"
@@ -154,14 +155,15 @@ type Options struct {
 	Symmetry bool
 	// Checkpoint, when non-nil, makes the run checkpointable: periodic
 	// snapshots go to Checkpoint.Sink every Checkpoint.EveryExecs
-	// completed executions, and any interruption or whole-run truncation
-	// drains the in-flight work into a final snapshot on
-	// Result.Checkpoint instead of discarding it (see checkpoint.go).
-	// Checkpointing changes how the run *stops* — a cancelled context
-	// drains instead of hard-stopping, so interruption latency grows by
-	// one wave of branch construction — but never what it explores.
-	// StopOnError and engine panics still stop hard and yield no
-	// checkpoint.
+	// completed executions (and only then — progress pauses never emit
+	// one), and any interruption or whole-run truncation drains the
+	// in-flight work into a final snapshot on Result.Checkpoint instead of
+	// discarding it (see checkpoint.go). Checkpointing changes how the run
+	// *stops* — a cancelled context drains instead of hard-stopping, so
+	// interruption latency grows by one wave of branch construction — but
+	// never what it explores. A cancellation that lands while a sink runs
+	// ends the run at the next wave. StopOnError and engine panics still
+	// stop hard and yield no checkpoint.
 	//hmc:transient(checkpoint cadence changes when the run stops, never what it explores)
 	Checkpoint *CheckpointOptions
 	// ResumeFrom continues a prior run from its checkpoint. The
@@ -184,12 +186,13 @@ type Options struct {
 	// Progress, when non-nil (with a Sink), delivers periodic
 	// ProgressSnapshots of the running exploration: counters, rates,
 	// frontier size and a sampled phase-timing breakdown (see
-	// progress.go). Snapshots are taken at the same quiescent points the
-	// checkpointer uses — between drain waves, workers paused — so they
-	// are race-free and never change what is explored. Like Workers, this
-	// is a transient knob: it is excluded from checkpoint signatures, and
-	// interruption semantics are unchanged (a progress-only run still
-	// hard-stops on cancellation).
+	// progress.go). A ticker on the run's watcher goroutine requests a
+	// pause every Progress.Every; the snapshot is taken at the quiescent
+	// point between drain waves, workers paused, so it is race-free and
+	// never changes what is explored. A progress pause emits no
+	// checkpoint. Like Workers, this is a transient knob: it is excluded
+	// from checkpoint signatures, and interruption semantics are unchanged
+	// (a progress-only run still hard-stops on cancellation).
 	//hmc:transient(snapshots observe the run at quiescent points; they never change what is explored)
 	Progress *ProgressOptions
 	// Trace, when non-nil, streams structured exploration events —
@@ -293,8 +296,8 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 	if opts.Workers > 1 {
 		sh.sem = make(chan struct{}, opts.Workers-1)
 	}
+	sh.ckpt = opts.Checkpoint != nil || opts.ResumeFrom != nil || opts.FailAfter > 0
 	e := &explorer{p: p, opts: opts, sh: sh, static: analyzeIfNeeded(p, opts)}
-	e.ckpt = opts.Checkpoint != nil || opts.ResumeFrom != nil || opts.FailAfter > 0
 	e.initObs()
 	if opts.Symmetry {
 		e.perms = symmetryPerms(len(p.Threads), p.SymmetryGroups())
@@ -306,60 +309,28 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 			return nil, err
 		}
 		// A checkpoint taken exactly at the MaxExecutions bound: the run
-		// it describes already stopped there, so resuming under the same
-		// bound returns the restored result as-is — continuing would
-		// explore (and memoize) states the straight run never reached.
+		// it describes already stopped there, so under the same bound the
+		// first wave drains straight back into the checkpoint — continuing
+		// would explore (and memoize) states the straight run never reached.
 		if opts.MaxExecutions > 0 && sh.res.Executions >= opts.MaxExecutions {
-			sh.res.Truncated = true
-			if sh.res.TruncatedReason == "" {
-				sh.res.TruncatedReason = TruncMaxExecutions
-			}
-			sh.res.Checkpoint = e.capture(frontier)
-			e.emitProgress(len(frontier), true)
-			if sh.engineErr != nil {
-				return nil, sh.engineErr
-			}
-			return sh.res, nil
+			e.truncate(TruncMaxExecutions, true)
 		}
 	}
-	if ctx := opts.Context; ctx != nil {
-		// A watcher translates ctx cancellation into the flags the branch
-		// loops already poll, so the hot path stays a single atomic load.
-		// Under checkpointing the cancellation drains (in-flight work is
-		// captured, not discarded); otherwise it hard-stops as before.
-		// Checking synchronously first makes a pre-cancelled context
-		// deterministic: zero work, the (restored) interrupted result.
-		if ctx.Err() != nil {
-			sh.res.Interrupted = true
-			if e.ckpt {
-				sh.res.Checkpoint = e.capture(frontier)
-			}
-			e.emitProgress(len(frontier), true)
-			if sh.engineErr != nil {
-				return nil, sh.engineErr
-			}
-			return sh.res, nil
-		}
+	if ctx := opts.Context; ctx != nil && ctx.Err() != nil {
+		// Checked synchronously so a pre-cancelled context is
+		// deterministic: the end request lands before the first branch
+		// point, and the run does no work.
+		sh.interrupt()
+	}
+	if opts.Context != nil || e.prog != nil {
 		done := make(chan struct{})
 		defer close(done)
-		go func() {
-			select {
-			case <-ctx.Done():
-				sh.interrupted.Store(true)
-				if e.ckpt {
-					sh.drain.Store(true)
-				} else {
-					sh.stop.Store(true)
-				}
-			case <-done:
-			}
-		}()
+		go e.watch(done)
 	}
 	// The wave loop: visit the frontier, wait for quiescence, and — when a
-	// drain was requested — capture or continue with the drained pending
-	// graphs as the next frontier. Runs with neither checkpointing nor
-	// progress enabled never set the drain flag and take exactly one trip
-	// (the pre-checkpoint behaviour).
+	// pause was requested — act on exactly the requested reasons, then
+	// continue with the drained pending graphs as the next frontier. A run
+	// that requests no pause takes exactly one trip.
 	remaining := 0
 	for {
 		for _, g := range frontier {
@@ -381,28 +352,31 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 			// the pending set is incomplete, so no checkpoint is safe.
 			break
 		}
-		if sh.interrupted.Load() || sh.stopAfterDrain.Load() {
+		reasons := reason(sh.reasons.Swap(0))
+		if reasons&reasonEnd != 0 {
 			sh.res.Checkpoint = e.capture(pending)
 			remaining = len(pending)
 			break
 		}
-		// Periodic snapshot (Checkpoint.EveryExecs): emit and continue.
-		if opts.Checkpoint != nil && opts.Checkpoint.Sink != nil {
+		if reasons&reasonCheckpoint != 0 {
 			cp := e.capture(pending)
 			e.guard(func() { opts.Checkpoint.Sink(cp) })
-			if sh.engineErr != nil {
-				return nil, sh.engineErr
-			}
 		}
-		// Periodic progress snapshot: the drain brought every worker to
-		// this quiescent point, so the counters read race-free.
-		if sh.progressReq.CompareAndSwap(true, false) {
+		if reasons&reasonProgress != 0 {
+			// The drain brought every worker to this quiescent point, so
+			// the counters read race-free.
 			e.emitProgress(len(pending), false)
-			if sh.engineErr != nil {
-				return nil, sh.engineErr
-			}
 		}
+		if sh.engineErr != nil {
+			return nil, sh.engineErr
+		}
+		// Resume, unless a request arrived while the sinks ran: clearing
+		// the flag before reading the reasons means a request either is
+		// seen here or raises the flag itself afterwards.
 		sh.drain.Store(false)
+		if sh.reasons.Load() != 0 {
+			sh.drain.Store(true)
+		}
 		frontier = pending
 		if len(frontier) == 0 {
 			break
@@ -419,6 +393,34 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 	return sh.res, nil
 }
 
+// watch is the run's one watcher goroutine: it turns the asynchronous
+// pause sources — Options.Context and the progress clock — into requests,
+// so the branch loops poll nothing but atomic flags. It returns once the
+// context is done (the run is ending) or when done is closed.
+func (e *explorer) watch(done <-chan struct{}) {
+	var cancelled <-chan struct{}
+	if ctx := e.opts.Context; ctx != nil {
+		cancelled = ctx.Done()
+	}
+	var tick <-chan time.Time
+	if e.prog != nil {
+		t := time.NewTicker(e.prog.every)
+		defer t.Stop()
+		tick = t.C
+	}
+	for {
+		select {
+		case <-cancelled:
+			e.sh.interrupt()
+			return
+		case <-tick:
+			e.sh.request(reasonProgress)
+		case <-done:
+			return
+		}
+	}
+}
+
 type explorer struct {
 	p     *prog.Program
 	opts  Options
@@ -427,14 +429,6 @@ type explorer struct {
 	// static is the program's static-analysis result, computed once per
 	// run when Options.StaticAnalysis or Options.CheckDeps is set.
 	static *analyze.Result
-	// sink, when non-nil, captures the graphs visit would explore instead
-	// of recursing — the estimator's one-step successor enumeration. Only
-	// set by successors(), never during real exploration.
-	sink *[]*eg.Graph
-	// ckpt marks a checkpointable run (Options.Checkpoint, ResumeFrom or
-	// FailAfter): interruptions and whole-run truncations drain instead
-	// of hard-stopping, so the in-flight frontier can be captured.
-	ckpt bool
 	// Observability (progress.go): prog and tracer are nil when disabled;
 	// the phase timers are non-nil exactly when either is on. wave counts
 	// completed drain waves and is touched only on the Explore goroutine.
@@ -468,25 +462,57 @@ type shared struct {
 	memo        map[string]bool // semantic exploration-state keys
 	engineErr   *EngineError    // first recovered panic (guarded by mu)
 	stop        atomic.Bool
-	interrupted atomic.Bool   // stop/drain was caused by Options.Context (or FailAfter)
+	interrupted atomic.Bool   // the end was requested by Options.Context (or FailAfter)
 	visits      atomic.Int64  // visit counter paces the MemoryBudget check
+	faults      atomic.Int64  // branch points counted for Options.FailAfter
 	sem         chan struct{} // fork slots (nil: sequential)
 	wg          sync.WaitGroup
 
-	// Drain machinery (checkpointable runs only; see checkpoint.go).
-	// While drain is set, visit records incoming graphs in pending
-	// instead of recursing — the branch loops above keep constructing and
-	// checking children, so every unit of work lands exactly once on one
-	// side of the checkpoint cut. stopAfterDrain marks a drain that ends
-	// the run (whole-run truncation) rather than pausing it (periodic
-	// snapshot); faults counts branch points for Options.FailAfter.
-	drain          atomic.Bool
-	stopAfterDrain atomic.Bool
-	faults         atomic.Int64
-	pending        []*eg.Graph // guarded by mu
-	// progressReq marks a drain requested (also) for a progress snapshot:
-	// the wave loop emits one at the next quiescent point and clears it.
-	progressReq atomic.Bool
+	// Pause machinery (see request and checkpoint.go). While drain is
+	// set, visit records incoming graphs in pending instead of recursing;
+	// reasons accumulates what the pause is for until the wave loop takes
+	// it. ckpt marks a checkpointable run (Options.Checkpoint, ResumeFrom
+	// or FailAfter).
+	drain   atomic.Bool
+	reasons atomic.Uint32
+	pending []*eg.Graph // guarded by mu
+	ckpt    bool
+}
+
+// reason is a bit set of what a pause request asks the wave loop to do
+// once the workers are quiescent.
+type reason uint32
+
+const (
+	reasonEnd        reason = 1 << iota // end the run with a final checkpoint
+	reasonCheckpoint                    // emit a periodic checkpoint, continue
+	reasonProgress                      // emit a progress snapshot, continue
+)
+
+// request asks for a pause at the next quiescent point. Every source of a
+// pause calls it: the watcher (Options.Context, the progress clock),
+// FailAfter, MaxExecutions, MemoryBudget and Checkpoint.EveryExecs. An end
+// request on a run that is not checkpointable sets the hard stop instead:
+// nothing would be captured, and abandoning the in-flight branches keeps
+// interruption immediate. Safe to call under mu (it takes no lock).
+func (sh *shared) request(r reason) {
+	if r&reasonEnd != 0 && !sh.ckpt {
+		sh.stop.Store(true)
+		return
+	}
+	for {
+		old := sh.reasons.Load()
+		if sh.reasons.CompareAndSwap(old, old|uint32(r)) {
+			break
+		}
+	}
+	sh.drain.Store(true)
+}
+
+// interrupt ends the run on behalf of Options.Context or FailAfter.
+func (sh *shared) interrupt() {
+	sh.interrupted.Store(true)
+	sh.request(reasonEnd)
 }
 
 // stopped reports whether exploration has been aborted.
@@ -545,10 +571,6 @@ func (e *explorer) fork(task func()) {
 // bounded program is finite, while revisit chains could otherwise rebuild
 // semantically identical graphs forever.
 func (e *explorer) visit(g *eg.Graph) {
-	if e.sink != nil {
-		*e.sink = append(*e.sink, g)
-		return
-	}
 	if e.stopped() {
 		return
 	}
@@ -562,10 +584,10 @@ func (e *explorer) visit(g *eg.Graph) {
 		return
 	}
 	if n := e.opts.FailAfter; n > 0 && e.sh.faults.Add(1) == int64(n) {
-		// Deterministic fault injection: "the process dies here". The
+		// Deterministic fault injection: "the process dies here". FailAfter
+		// makes the run checkpointable, so the end request drains and the
 		// graph in hand is not lost — it heads the pending frontier.
-		e.sh.interrupted.Store(true)
-		e.sh.drain.Store(true)
+		e.sh.interrupt()
 		e.recordPending(g)
 		return
 	}
@@ -584,16 +606,11 @@ func (e *explorer) visit(g *eg.Graph) {
 			var ms runtime.MemStats
 			runtime.ReadMemStats(&ms)
 			if ms.HeapAlloc > uint64(e.opts.MemoryBudget) {
-				if e.ckpt {
-					// Under checkpointing the truncation drains: this
-					// graph and the rest of the in-flight frontier are
-					// captured, so a later run under a roomier budget
-					// picks up exactly here.
-					e.truncateDrain(TruncMemoryBudget)
-					e.recordPending(g)
-				} else {
-					e.truncate(TruncMemoryBudget, true)
-				}
+				// Under checkpointing this graph and the rest of the
+				// in-flight frontier are captured, so a later run under a
+				// roomier budget picks up exactly here.
+				e.truncate(TruncMemoryBudget, true)
+				e.recordPending(g)
 				return
 			}
 		}
@@ -689,35 +706,19 @@ func (e *explorer) complete(g *eg.Graph) {
 		e.opts.OnExecution(g, fs)
 	}
 	if e.opts.MaxExecutions > 0 && e.sh.res.Executions >= e.opts.MaxExecutions {
-		e.sh.res.Truncated = true
-		if e.sh.res.TruncatedReason == "" {
-			e.sh.res.TruncatedReason = TruncMaxExecutions
-		}
-		if e.ckpt {
-			// Drain instead of hard-stopping so the already-constructed
-			// frontier lands in the final checkpoint: a run resumed under
-			// a higher bound continues instead of starting over.
-			e.sh.stopAfterDrain.Store(true)
-			e.sh.drain.Store(true)
-		} else {
-			e.sh.stop.Store(true)
-		}
+		// Under checkpointing the frontier lands in the final checkpoint,
+		// so a run resumed under a higher bound continues from here.
+		e.sh.truncateLocked(TruncMaxExecutions)
+		e.sh.request(reasonEnd)
 		return
 	}
 	if co := e.opts.Checkpoint; co != nil && co.Sink != nil && co.EveryExecs > 0 &&
 		e.sh.res.Executions%co.EveryExecs == 0 {
-		// Periodic snapshot: drain to a quiescent point; the wave loop in
-		// Explore emits the checkpoint and resumes from the drained
+		// Periodic snapshot: the wave loop in Explore emits the checkpoint
+		// at the next quiescent point and resumes from the drained
 		// frontier. The pause costs one wave of deferred recursion — the
 		// T14 experiment measures the overhead against EveryExecs.
-		e.sh.drain.Store(true)
-	}
-	if e.progressDueLocked() {
-		// Progress snapshot due: same drain, same quiescent point; the
-		// wave loop emits the snapshot and resumes (T15 bounds the
-		// overhead at the default cadence).
-		e.sh.progressReq.Store(true)
-		e.sh.drain.Store(true)
+		e.sh.request(reasonCheckpoint)
 	}
 }
 

@@ -392,3 +392,50 @@ func TestNoCheckpointOnHardStop(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelDuringCheckpointSinkStopsRun: a cancellation that lands while
+// a periodic checkpoint sink runs must end the run at that pause, not be
+// dropped when the wave loop resumes. The sink cancels and then waits, so
+// the watcher has requested the end before the sink returns; the run must
+// stop with the executions of the first checkpoint and hand back a final
+// checkpoint that resumes to the straight run's totals.
+func TestCancelDuringCheckpointSinkStopsRun(t *testing.T) {
+	p := gen.SBN(10)
+	tso, _ := memmodel.ByName("tso")
+	straight, err := Explore(p, Options{Model: tso})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, every := range []int{100, 600} {
+		ctx, cancel := context.WithCancel(context.Background())
+		sinks := 0
+		res, err := Explore(p, Options{Model: tso, Context: ctx, Checkpoint: &CheckpointOptions{
+			EveryExecs: every,
+			Sink: func(*Checkpoint) {
+				if sinks++; sinks == 1 {
+					cancel()
+					// The watcher goroutine is not observable from here; it
+					// gets the sleeping sink's processor at once.
+					time.Sleep(100 * time.Millisecond)
+				}
+			},
+		}})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Interrupted || res.Checkpoint == nil {
+			t.Fatalf("every=%d: Interrupted=%v checkpoint=%v, want an interrupted run with a checkpoint",
+				every, res.Interrupted, res.Checkpoint != nil)
+		}
+		if res.Executions != every || sinks != 1 {
+			t.Errorf("every=%d: run went on to %d executions and %d sinks after the cancellation, want %d and 1",
+				every, res.Executions, sinks, every)
+		}
+		resumed := resumeToCompletion(t, p, Options{Model: tso}, encodeDecode(t, res.Checkpoint))
+		if resumed.Executions != straight.Executions || resumed.States != straight.States {
+			t.Errorf("every=%d: resumed totals %d/%d, straight run %d/%d", every,
+				resumed.Executions, resumed.States, straight.Executions, straight.States)
+		}
+	}
+}

@@ -12,16 +12,17 @@ import (
 // explorer: periodic progress snapshots, sampled phase timers and the
 // structured exploration trace.
 //
-// Snapshots piggyback on the checkpoint drain machinery (checkpoint.go):
-// when a snapshot falls due, complete() raises the drain flag, the current
-// wave unwinds with its deferred graphs parked in pending, and the wave
-// loop — workers quiescent, nothing in flight — reads the counters
-// race-free, emits the snapshot and resumes from the drained frontier.
-// Observation therefore never changes *what* is explored, only inserts
-// the same pauses a periodic checkpoint would; a run with both enabled
-// shares the waves. Progress and Trace are transient knobs like Workers:
-// they are excluded from the checkpoint options signature, so observed
-// and unobserved legs of a resume chain interoperate.
+// Snapshots use the same pause as checkpoints (checkpoint.go): the run's
+// watcher goroutine ticks at the snapshot cadence and requests a progress
+// pause, the current wave unwinds with its deferred graphs parked in
+// pending, and the wave loop — workers quiescent, nothing in flight —
+// reads the counters race-free, emits the snapshot and resumes from the
+// drained frontier. Observation therefore never changes *what* is
+// explored, only inserts pauses. A pause asked for progress emits a
+// snapshot and nothing else; when a checkpoint falls due in the same
+// wave, one pause serves both. Progress and Trace are transient knobs
+// like Workers: they are excluded from the checkpoint options signature,
+// so observed and unobserved legs of a resume chain interoperate.
 
 // DefaultProgressEvery is the snapshot cadence used when
 // ProgressOptions.Every is unset; EXPERIMENTS.md T15 bounds the whole
@@ -31,9 +32,10 @@ const DefaultProgressEvery = time.Second
 // ProgressOptions configures periodic progress snapshots
 // (Options.Progress).
 type ProgressOptions struct {
-	// Every is the wall-clock snapshot cadence (≤0: DefaultProgressEvery).
-	// Snapshots land at the next quiescent point after the cadence
-	// elapses, so the actual spacing is cadence plus up to one wave.
+	// Every is the wall-clock snapshot cadence (≤0: DefaultProgressEvery):
+	// a ticker requests a pause every Every, and the snapshot lands at the
+	// next quiescent point, one wave of deferred recursion later. Ticks
+	// that fall while a pause is pending merge into it.
 	Every time.Duration
 	// Sink receives each snapshot. It runs on the exploration goroutine
 	// between waves — workers are quiescent — so it may read the snapshot
@@ -49,13 +51,11 @@ type ProgressOptions struct {
 }
 
 // progressState is the explorer's progress bookkeeping. seq and emission
-// run only on the Explore goroutine; last is additionally written by
-// complete() under sh.mu when a snapshot falls due.
+// run only on the Explore goroutine; the watcher reads every.
 type progressState struct {
 	opts  ProgressOptions
 	every time.Duration
 	start time.Time
-	last  time.Time // guarded by sh.mu
 	seq   int
 }
 
@@ -66,8 +66,7 @@ func (e *explorer) initObs() {
 		if every <= 0 {
 			every = DefaultProgressEvery
 		}
-		now := time.Now() //hmc:nondet(progress timestamps describe the run, they never feed counters or keys)
-		e.prog = &progressState{opts: *p, every: every, start: now, last: now}
+		e.prog = &progressState{opts: *p, every: every, start: time.Now()} //hmc:nondet(progress timestamps describe the run, they never feed counters or keys)
 	}
 	e.tracer = e.opts.Trace
 	if e.prog != nil || e.tracer != nil {
@@ -75,21 +74,6 @@ func (e *explorer) initObs() {
 		e.tConsist = &obs.PhaseTimer{}
 		e.tRevisit = &obs.PhaseTimer{}
 	}
-}
-
-// progressDue reports (and consumes) a pending snapshot request; called by
-// complete() under sh.mu.
-func (e *explorer) progressDueLocked() bool {
-	if e.prog == nil {
-		return false
-	}
-	if time.Since(e.prog.last) < e.prog.every {
-		return false
-	}
-	// Reset at request time, not emission time: a storm of completions
-	// during the drain wave must not re-request.
-	e.prog.last = time.Now() //hmc:nondet(snapshot cadence is wall-clock by design; emission timing never changes what is explored)
-	return true
 }
 
 // snapshotProgress builds one snapshot from the quiescent explorer state.

@@ -170,6 +170,37 @@ func TestProgressComposesWithCheckpoint(t *testing.T) {
 	checkFinalMatchesResult(t, snaps, res)
 }
 
+// TestProgressPausesEmitNoCheckpoints: a pause requested for a progress
+// snapshot must not also emit a checkpoint. At Workers=1 every multiple of
+// EveryExecs raises exactly one checkpoint request, so the sink must fire
+// Executions/EveryExecs times however many snapshots the 1ms cadence adds.
+func TestProgressPausesEmitNoCheckpoints(t *testing.T) {
+	m, _ := memmodel.ByName("sc")
+	const every = 100
+	snaps, checkpoints := 0, 0
+	res, err := Explore(progressWorkload(), Options{
+		Model: m,
+		Progress: &ProgressOptions{
+			Every: time.Millisecond,
+			Sink:  func(obs.ProgressSnapshot) { snaps++ },
+		},
+		Checkpoint: &CheckpointOptions{
+			EveryExecs: every,
+			Sink:       func(*Checkpoint) { checkpoints++ },
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Executions / every; checkpoints != want {
+		t.Errorf("%d periodic checkpoints for %d executions at EveryExecs=%d, want %d (with %d snapshots)",
+			checkpoints, res.Executions, every, want, snaps)
+	}
+	if snaps < 2 {
+		t.Errorf("got %d snapshots, want periodic ones besides the final", snaps)
+	}
+}
+
 // TestProgressInterruptedRunEmitsFinal: a cancelled progress-only run
 // still hard-stops (non-checkpointable interruption semantics are
 // unchanged) and delivers a final snapshot matching the partial result.

@@ -126,30 +126,22 @@ func (e *explorer) capturePanic(r any) {
 }
 
 // truncate marks the result truncated with the given reason (first reason
-// wins) and, when stopAll is set, aborts the whole exploration rather than
-// just pruning the current subtree.
-func (e *explorer) truncate(reason string, stopAll bool) {
+// wins) and, when end is set, ends the whole run rather than just pruning
+// the current subtree.
+func (e *explorer) truncate(why string, end bool) {
 	e.sh.mu.Lock()
-	e.sh.res.Truncated = true
-	if e.sh.res.TruncatedReason == "" {
-		e.sh.res.TruncatedReason = reason
-	}
+	e.sh.truncateLocked(why)
 	e.sh.mu.Unlock()
-	if stopAll {
-		e.sh.stop.Store(true)
+	if end {
+		e.sh.request(reasonEnd)
 	}
 }
 
-// truncateDrain is the checkpointable variant of a whole-run truncation:
-// instead of the hard stop flag it raises the drain, so the in-flight
-// frontier is captured into the final checkpoint (see checkpoint.go).
-func (e *explorer) truncateDrain(reason string) {
-	e.sh.mu.Lock()
-	e.sh.res.Truncated = true
-	if e.sh.res.TruncatedReason == "" {
-		e.sh.res.TruncatedReason = reason
+// truncateLocked marks the result truncated; the first reason wins.
+// Called with sh.mu held.
+func (sh *shared) truncateLocked(why string) {
+	sh.res.Truncated = true
+	if sh.res.TruncatedReason == "" {
+		sh.res.TruncatedReason = why
 	}
-	e.sh.mu.Unlock()
-	e.sh.stopAfterDrain.Store(true)
-	e.sh.drain.Store(true)
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,31 @@ func TestBenchExploreRoundTrip(t *testing.T) {
 	}
 	if err := CompareBaseline(r, back, 0.25); err != nil {
 		t.Errorf("suite must compare clean against itself: %v", err)
+	}
+}
+
+// TestBenchBaselineRowOrder: the committed BENCH_explore.json lists its
+// rows in the order BenchExplore writes them (benchJobs, full suite), so
+// regenerating the file with hmc-bench -json shows value changes only,
+// not a reordering.
+func TestBenchBaselineRowOrder(t *testing.T) {
+	f, err := os.Open("../../BENCH_explore.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	base, err := ReadBenchReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := benchJobs(Options{})
+	if len(base.Rows) != len(jobs) {
+		t.Fatalf("BENCH_explore.json has %d rows, benchJobs %d", len(base.Rows), len(jobs))
+	}
+	for i, j := range jobs {
+		if row := base.Rows[i]; row.Name != j.p.Name || row.Model != j.model {
+			t.Errorf("row %d is %s/%s, benchJobs writes %s/%s", i, row.Name, row.Model, j.p.Name, j.model)
+		}
 	}
 }
 

@@ -299,11 +299,10 @@ func (j *journal) done(id string, state JobState) {
 // append writes one fsynced record and rotates past the size bound.
 func (j *journal) append(rec jrec) {
 	rec.Schema = core.SchemaVersion
-	data, err := json.Marshal(rec)
+	data, err := appendLine(nil, rec)
 	if err != nil {
 		return // jrec is plain data; cannot happen
 	}
-	data = append(data, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.dead {
@@ -359,6 +358,27 @@ func (j *journal) degradedState() (bool, string) {
 	return j.degraded, j.degradedWhy
 }
 
+// appendLine appends rec to buf as one journal line. The checkpoint is
+// already compact JSON (core.Checkpoint.Encode, or a line read back by
+// replay), so it is spliced in as the last field; json.Marshal would
+// re-validate and re-compact every byte of it as a RawMessage, which
+// dominated the cost of journaling a large checkpoint. The line is the
+// one json.Marshal writes: State, the only field after the checkpoint, is
+// empty on checkpoint records.
+func appendLine(buf []byte, rec jrec) ([]byte, error) {
+	cp := rec.Checkpoint
+	rec.Checkpoint = nil
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return buf, err
+	}
+	if len(cp) > 0 {
+		data = append(data[:len(data)-1], `,"checkpoint":`...)
+		data = append(append(data, cp...), '}')
+	}
+	return append(append(buf, data...), '\n'), nil
+}
+
 // rotateLocked opens journal-<seq>.jsonl, writes a compaction snapshot of
 // the live jobs, fsyncs it, and retires the previous file. Callers hold
 // j.mu (or are on the single-threaded open path).
@@ -374,21 +394,14 @@ func (j *journal) rotateLocked() error {
 	}
 	var buf []byte
 	for _, jj := range j.liveSorted() {
-		line, err := json.Marshal(jj.submit)
-		if err != nil {
+		var err error
+		if buf, err = appendLine(buf, jj.submit); err != nil {
 			continue
 		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
 		if len(jj.checkpoint) > 0 {
-			line, err := json.Marshal(jrec{
+			buf, _ = appendLine(buf, jrec{
 				Type: jrecCheckpoint, Schema: jj.submit.Schema, ID: jj.submit.ID, Checkpoint: jj.checkpoint,
 			})
-			if err != nil {
-				continue
-			}
-			buf = append(buf, line...)
-			buf = append(buf, '\n')
 		}
 	}
 	if _, err := f.Write(buf); err != nil {

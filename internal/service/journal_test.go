@@ -91,6 +91,43 @@ func TestJournalRoundTrip(t *testing.T) {
 // TestJournalSkipsTornAndForeignRecords: a torn tail (the crash artifact
 // the journal exists to survive) and records from another engine schema
 // are dropped, never fatal, and are counted.
+// TestJournalLineMatchesMarshal: splicing an encoded checkpoint into its
+// journal line must write exactly the bytes json.Marshal writes for the
+// record, for checkpoint records (with a real, HTML-escaping checkpoint)
+// and for records without one.
+func TestJournalLineMatchesMarshal(t *testing.T) {
+	p, err := litmus.Parse(manyExecsSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _ := memmodel.ByName("sc")
+	res, err := core.Explore(p, core.Options{Model: model, MaxExecutions: 50, Checkpoint: &core.CheckpointOptions{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := res.Checkpoint.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []jrec{
+		{Type: jrecCheckpoint, Schema: core.SchemaVersion, ID: "job-000001", Checkpoint: data},
+		{Type: jrecSubmit, Schema: core.SchemaVersion, ID: "job-000002", JobSpec: JobSpec{Source: "<&>", TimeoutMS: 25}},
+		{Type: jrecDone, Schema: core.SchemaVersion, ID: "job-000003", State: string(StateDone)},
+	} {
+		want, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := appendLine([]byte("prefix\n"), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != "prefix\n"+string(want)+"\n" {
+			t.Errorf("%s record: spliced line differs from json.Marshal:\n got %.200s\nwant %.200s", rec.Type, got, want)
+		}
+	}
+}
+
 func TestJournalSkipsTornAndForeignRecords(t *testing.T) {
 	dir := t.TempDir()
 	j, _, err := openJournal(dir, 0)

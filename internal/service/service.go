@@ -82,15 +82,17 @@ type Config struct {
 	JournalDir string
 	// CheckpointEveryExecs is how often a running exploration drains into
 	// a journal checkpoint, in executions (default
-	// core.DefaultCheckpointEvery; only meaningful with JournalDir).
-	// Smaller loses less work to a crash; larger checkpoints less often.
-	// See experiment T14 for the overhead curve.
+	// core.DefaultCheckpointEvery; only meaningful with JournalDir): one
+	// checkpoint per that many executions, however often progress pauses
+	// the run. Smaller loses less work to a crash; larger checkpoints less
+	// often. See experiment T14 for the overhead curve.
 	CheckpointEveryExecs int
 	// ProgressEvery is how often a running job publishes a progress
 	// snapshot — served live in job polls, the /progress long-poll and the
 	// histograms (default 1s; negative disables progress entirely).
 	// Snapshots ride the explorer's drain barrier, so the overhead is one
-	// wave pause per cadence (EXPERIMENTS.md T15 bounds it at <5%).
+	// wave pause per cadence (EXPERIMENTS.md T15 bounds it at <5%); a
+	// progress pause writes no journal checkpoint.
 	ProgressEvery time.Duration
 	// ChaosPlan, when non-nil, threads a deterministic fault-injection
 	// plan (internal/faultinject) through the journal file — the dev-only
