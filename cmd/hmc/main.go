@@ -512,18 +512,14 @@ func resumeError(path string, err error) error {
 	return fmt.Errorf("checkpoint %s cannot resume this run (%w); delete it or choose another -checkpoint path", path, err)
 }
 
-// writeCheckpointFile writes cp atomically (temp file + rename): a crash
-// mid-write leaves the previous checkpoint intact, never a torn one.
+// writeCheckpointFile writes cp through the service's atomic writer, so a
+// crash mid-write leaves the previous checkpoint, never a torn one.
 func writeCheckpointFile(path string, cp *core.Checkpoint) error {
 	data, err := cp.Encode()
 	if err != nil {
 		return err
 	}
-	tmp := fmt.Sprintf("%s.tmp.%d", path, os.Getpid())
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return service.WriteFileAtomic(path, data)
 }
 
 func check(out io.Writer, p *prog.Program, spec backend.Spec, o *options, newCtx func() (context.Context, context.CancelFunc)) error {

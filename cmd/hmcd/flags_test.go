@@ -16,7 +16,7 @@ import (
 // deliberate edit here, not an accident.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"addr", "cache", "chaos-plan", "checkpoint-every", "crash-dir", "drain", "journal",
+		"addr", "cache", "checkpoint-every", "crash-dir", "drain", "journal",
 		"max-timeout", "portfolio", "pprof", "progress-every", "quarantine-dir", "queue",
 		"timeout", "workers",
 	}

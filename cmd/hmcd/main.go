@@ -15,7 +15,6 @@
 //	     [-timeout 30s] [-max-timeout 5m] [-drain 10s]
 //	     [-crash-dir hmcd-crashes] [-journal DIR] [-checkpoint-every 2000]
 //	     [-progress-every 1s] [-pprof 127.0.0.1:6060]
-//	     [-chaos-plan plan.json]
 //	     [-portfolio] [-quarantine-dir hmcd-quarantine]
 //
 // Fault containment: an engine panic fails only its own job — the panic
@@ -47,8 +46,12 @@
 //
 // Parallelism: a submission's "workers" field explores one job on that
 // many goroutines over a shared state memo, and -workers sets how many
-// jobs run at once. -chaos-plan (dev only) injects a deterministic fault
-// plan into the journal file to rehearse its degraded mode.
+// jobs run at once.
+//
+// Durability: with -journal DIR, each live job keeps its spec and latest
+// checkpoint (every -checkpoint-every executions) as two files in DIR, so
+// a restarted daemon resumes it; a failed write keeps the daemon serving
+// and /readyz reports "degraded" until the next write succeeds.
 //
 // Observability: running jobs publish progress snapshots every
 // -progress-every (counters, rates, sampled phase breakdown), served in
@@ -74,7 +77,6 @@ import (
 	"time"
 
 	"hmc/internal/core"
-	"hmc/internal/faultinject"
 	"hmc/internal/service"
 )
 
@@ -90,9 +92,9 @@ func main() {
 // daemonFlags is everything hmcd's command line sets: the service
 // configuration plus the daemon's own listener and lifecycle settings.
 type daemonFlags struct {
-	cfg                        service.Config
-	addr, pprofAddr, chaosPlan string
-	drain                      time.Duration
+	cfg             service.Config
+	addr, pprofAddr string
+	drain           time.Duration
 }
 
 // newFlags defines hmcd's flags, each bound to its field of f. Settings
@@ -107,11 +109,10 @@ func newFlags(f *daemonFlags) *flag.FlagSet {
 	fs.DurationVar(&f.cfg.MaxTimeout, "max-timeout", 5*time.Minute, "cap on requested per-job deadlines (0 = none)")
 	fs.DurationVar(&f.drain, "drain", 10*time.Second, "shutdown grace before in-flight jobs are cancelled")
 	fs.StringVar(&f.cfg.CrashDir, "crash-dir", "hmcd-crashes", "directory for engine-crash repro artifacts")
-	fs.StringVar(&f.cfg.JournalDir, "journal", "", "write-ahead journal directory; makes the daemon durable across restarts (empty disables)")
-	fs.IntVar(&f.cfg.CheckpointEveryExecs, "checkpoint-every", core.DefaultCheckpointEvery, "executions between journaled exploration checkpoints")
+	fs.StringVar(&f.cfg.JournalDir, "journal", "", "directory keeping each live job's spec and latest checkpoint, plus the verdict cache; makes the daemon durable across restarts (empty disables)")
+	fs.IntVar(&f.cfg.CheckpointEveryExecs, "checkpoint-every", core.DefaultCheckpointEvery, "executions between stored exploration checkpoints")
 	fs.DurationVar(&f.cfg.ProgressEvery, "progress-every", core.DefaultProgressEvery, "cadence of live job progress snapshots (negative disables)")
 	fs.StringVar(&f.pprofAddr, "pprof", "", "serve net/http/pprof on this separate address (empty disables)")
-	fs.StringVar(&f.chaosPlan, "chaos-plan", "", "dev only: JSON fault-injection plan (internal/faultinject) applied to the journal")
 	fs.BoolVar(&f.cfg.Portfolio, "portfolio", false, "race every applicable backend per job and cross-attest verdicts; disagreements are quarantined, never served")
 	fs.StringVar(&f.cfg.QuarantineDir, "quarantine-dir", "hmcd-quarantine", "directory for backend-disagreement repro artifacts")
 	return fs
@@ -124,15 +125,6 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	var f daemonFlags
 	if err := newFlags(&f).Parse(args); err != nil {
 		return err
-	}
-
-	if f.chaosPlan != "" {
-		plan, err := faultinject.LoadPlan(f.chaosPlan)
-		if err != nil {
-			return fmt.Errorf("chaos plan: %w", err)
-		}
-		f.cfg.ChaosPlan = plan
-		fmt.Fprintf(out, "hmcd: CHAOS PLAN %s active (seed %d) — dev harness, never production\n", f.chaosPlan, plan.Seed)
 	}
 
 	svc, err := service.New(f.cfg)
@@ -176,7 +168,7 @@ func run(ctx context.Context, args []string, out io.Writer, ready func(addr stri
 	}
 	if f.cfg.JournalDir != "" {
 		// Replay runs in the background (watch /readyz); the verdict and
-		// skipped-record counts are known synchronously at open.
+		// skipped-file counts are known synchronously at open.
 		m := svc.Metrics()
 		fmt.Fprintf(out, "hmcd: journal %s (verdicts=%d skipped=%d), replaying backlog\n",
 			f.cfg.JournalDir, m.VerdictsReloaded.Load(), m.JournalSkippedRecords.Load())

@@ -60,7 +60,7 @@ const CheckpointVersion = 1
 var ErrCheckpointMismatch = errors.New("core: checkpoint does not match this run")
 
 // DefaultCheckpointEvery is the periodic snapshot cadence, in executions,
-// of hmc -checkpoint and of the hmcd journal (hmcd -checkpoint-every);
+// of hmc -checkpoint and of hmcd's job store (hmcd -checkpoint-every);
 // EXPERIMENTS.md T14 measures its overhead.
 const DefaultCheckpointEvery = 2000
 

@@ -28,8 +28,12 @@
 // explored exactly once — comes from the exploration-state memo in visit:
 // graphs are memoized on their canonical key, so a state rebuilt by a
 // second revisit choreography is pruned rather than re-explored. There is
-// no maximality side condition on revisits; the duplicate-free property
-// tests (Stats.Duplicates = 0 under DedupSafeguard) pin the guarantee.
+// no maximality side condition on revisits. Because complete runs only
+// for a key visit has just admitted to the memo, Stats.Duplicates under
+// DedupSafeguard is 0 by construction and cannot referee the guarantee;
+// the referee is the equality of the explored execution set with the
+// axiomatic enumerator's and the operational machines' (internal/axenum,
+// internal/operational, internal/crossval).
 package core
 
 import (
@@ -91,9 +95,13 @@ type Options struct {
 	// StopOnError aborts exploration at the first assertion failure.
 	StopOnError bool
 	// DedupSafeguard tracks complete-execution keys and suppresses
-	// duplicates, counting them in Stats.Duplicates. The algorithm is
-	// optimal, so this is a diagnostic: the test suite asserts the count
-	// stays zero. It costs memory proportional to the execution count.
+	// duplicates, counting them in Stats.Duplicates. It costs memory
+	// proportional to the execution count. While the state memo is on (as
+	// it always is today) the count is 0 by construction: complete only
+	// sees keys visit has just admitted. The safeguard becomes a live check
+	// once exactly-once rests on a revisit condition instead of the memo
+	// (ROADMAP item 3); until then the execution-set equality with
+	// internal/axenum and internal/operational is the real referee.
 	DedupSafeguard bool
 	// PorfOnlyRevisits is the T5 ablation: restrict backward revisits to
 	// porf-prefix-closed deletions as RC11-tuned explorers do (every event
@@ -197,9 +205,9 @@ type Options struct {
 	Progress *ProgressOptions
 	// Trace, when non-nil, streams structured exploration events —
 	// waves, revisits, static prunes, snapshots — as JSON lines to the
-	// tracer (see internal/obs). Tracing enables the same sampled phase
-	// timers as Progress; a tracer write error is latched and reported by
-	// Tracer.Err, never aborting the run.
+	// tracer (see internal/obs). Tracing alone starts no phase timers:
+	// only progress snapshots read them. A tracer write error is latched
+	// and reported by Tracer.Err, never aborting the run.
 	//hmc:transient(tracing observes the run; a straight and a traced run explore the same states)
 	Trace *obs.Tracer
 }
@@ -221,7 +229,7 @@ type Stats struct {
 	Executions    int // complete consistent executions
 	ExistsCount   int // executions satisfying the program's Exists clause
 	Blocked       int // executions ending with a blocked thread
-	Duplicates    int // duplicate executions suppressed (must stay 0)
+	Duplicates    int // duplicate executions suppressed under DedupSafeguard (0 by construction while the memo is on)
 	RevisitsTried int // backward revisit candidates considered
 	RevisitsTaken int
 	States        int // distinct exploration states visited
@@ -670,15 +678,15 @@ func (e *explorer) visit(g *eg.Graph) {
 		}()
 		return
 	}
-	e.complete(g)
+	e.complete(g, key)
 }
 
-// complete records a finished execution. The final state is computed
-// outside the lock (pure graph read); everything else — dedup, counters,
-// key collection and the user callback — runs under it, so OnExecution
+// complete records a finished execution; key is g's canonical key, as
+// visit computed it for the memo. The final state is computed outside the
+// lock (pure graph read); everything else — dedup, counters, key
+// collection and the user callback — runs under it, so OnExecution
 // invocations are serialized even in parallel mode.
-func (e *explorer) complete(g *eg.Graph) {
-	key := e.key(g)
+func (e *explorer) complete(g *eg.Graph, key string) {
 	var fs prog.FinalState
 	if e.p.Exists != nil || e.opts.OnExecution != nil {
 		fs = interp.FinalState(e.p, g, e.opts.MaxSteps)

@@ -69,7 +69,9 @@ func (e *explorer) initObs() {
 		e.prog = &progressState{opts: *p, every: every, start: time.Now()} //hmc:nondet(progress timestamps describe the run, they never feed counters or keys)
 	}
 	e.tracer = e.opts.Trace
-	if e.prog != nil || e.tracer != nil {
+	// Only progress snapshots read the phase timers, so a trace-only run
+	// leaves them nil (their methods no-op on nil).
+	if e.prog != nil {
 		e.tInterp = &obs.PhaseTimer{}
 		e.tConsist = &obs.PhaseTimer{}
 		e.tRevisit = &obs.PhaseTimer{}

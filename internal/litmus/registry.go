@@ -230,7 +230,7 @@ func ByName(name string) (Test, bool) {
 // Resolve builds the program a job names: litmus source text or a corpus
 // test name, exactly one of them non-empty. It is the one place a program
 // request becomes a program — for hmc -test and litmus files, hmcd
-// submissions, journal replay and crash and quarantine artifacts.
+// submissions, restart replay and crash and quarantine artifacts.
 func Resolve(source, test string) (*prog.Program, error) {
 	switch {
 	case source != "" && test != "":

@@ -46,26 +46,38 @@ type CrashArtifact struct {
 
 // LoadCrashArtifact reads one artifact file written by the service.
 func LoadCrashArtifact(path string) (*CrashArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	a := &CrashArtifact{}
-	if err := json.Unmarshal(data, a); err != nil {
-		return nil, fmt.Errorf("crash artifact %s: %w", path, err)
-	}
-	if a.Schema != core.SchemaVersion {
-		return nil, fmt.Errorf("crash artifact %s: engine schema %d, this binary is %d — not replayable",
-			path, a.Schema, core.SchemaVersion)
+	if err := loadArtifact(path, "crash", a, &a.Schema); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
 
+// loadArtifact decodes the artifact file at path into a, whose engine
+// schema field is *schema, refusing another schema than this binary's.
+func loadArtifact(path, kind string, a any, schema *int) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, a); err != nil {
+		return fmt.Errorf("%s artifact %s: %w", kind, path, err)
+	}
+	if *schema != core.SchemaVersion {
+		return fmt.Errorf("%s artifact %s: engine schema %d, this binary is %d — not replayable",
+			kind, path, *schema, core.SchemaVersion)
+	}
+	return nil
+}
+
 // crashStore keeps at most max artifact files in dir, evicting oldest
 // first. It does no locking of its own: the service serializes writes.
+// Artifacts land through writeAtomic, so a torn file never counts toward
+// the bound or reaches `hmc -repro`; wrap is its test seam.
 type crashStore struct {
-	dir string
-	max int
+	dir  string
+	max  int
+	wrap func(durableFile) durableFile
 }
 
 // write serializes a crash artifact into the store and evicts beyond the
@@ -80,22 +92,15 @@ func (cs *crashStore) writeJSON(kind, fingerprint, jobID string, v any) (string,
 	if err := os.MkdirAll(cs.dir, 0o755); err != nil {
 		return "", err
 	}
-	fp := fingerprint
-	if len(fp) > 12 {
-		fp = fp[:12]
-	}
-	path := filepath.Join(cs.dir, fmt.Sprintf("%s-%s-%s.json", kind, fp, jobID))
+	path := filepath.Join(cs.dir, fmt.Sprintf("%s-%.12s-%s.json", kind, fingerprint, jobID))
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return "", err
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := writeAtomic(path, data, cs.wrap); err != nil {
 		return "", err
 	}
-	if err := cs.evict(); err != nil {
-		return path, err
-	}
-	return path, nil
+	return path, cs.evict()
 }
 
 // count reports the resident artifact files.

@@ -376,10 +376,10 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // handleReady is the readiness probe: liveness (/healthz) answers 200 as
 // long as the process serves, while readiness refuses traffic until the
-// journal backlog has been re-enqueued, and again once draining starts —
+// stored backlog has been re-enqueued, and again once draining starts —
 // so a rolling restart routes new submissions elsewhere both while a
 // replacement warms up and while the old daemon winds down.
-// A journal running degraded (a write or fsync failed — disk full, dying
+// A job store running degraded (a write or fsync failed — disk full, dying
 // device) still answers 200: the service keeps checking programs, only
 // crash durability is suspended. The body says so, for operators and for
 // probes that read it.
@@ -389,8 +389,8 @@ func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := map[string]any{"status": "ready"}
-	if s.journal != nil {
-		if degraded, why := s.journal.degradedState(); degraded {
+	if s.store != nil {
+		if degraded, why := s.store.degradedState(); degraded {
 			body["status"] = "degraded"
 			body["journal"] = why
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -19,7 +20,7 @@ import (
 
 // manyExecsSource is a litmus program whose sc exploration has 11550
 // executions (the interleavings of three store-only threads): long
-// enough that the exploration journals several checkpoints before the
+// enough that the exploration stores several checkpoints before the
 // test kills the service, small enough to run to completion twice.
 const manyExecsSource = `
 name many-writes
@@ -45,159 +46,164 @@ func submitSource(t *testing.T, s *Service, src, model string, maxExecs int) Job
 	return v
 }
 
-// TestJournalRoundTrip exercises the journal in isolation: submits,
+// TestJournalRoundTrip exercises the job store in isolation: submits,
 // checkpoints and done records survive a reopen, finished jobs are
 // retired, and the id sequence continues.
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	j, stats, err := openJournal(dir, 0)
+	st, live, stats, err := openStore(dir, journalHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.liveJobs != 0 || stats.skipped != 0 {
-		t.Fatalf("fresh journal reports %+v", stats)
+	if stats.liveJobs != 0 || stats.skipped != 0 || len(live) != 0 {
+		t.Fatalf("fresh store reports %+v", stats)
 	}
 	req := JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}}
-	j.submit("job-000001", req)
-	j.submit("job-000002", req)
-	j.submit("job-000003", JobSpec{Spec: backend.Spec{Model: "sc"}}) // no Source/Test: not journaled
+	st.submit("job-000001", req)
+	st.submit("job-000002", req)
+	st.submit("job-000003", JobSpec{Spec: backend.Spec{Model: "sc"}}) // no Source/Test: not stored
 	cp := &core.Checkpoint{Version: core.CheckpointVersion, Schema: core.SchemaVersion, Model: "sc"}
-	if !j.checkpoint("job-000002", cp) {
-		t.Fatal("checkpoint append refused")
+	if !st.checkpoint("job-000002", cp) {
+		t.Fatal("checkpoint write refused")
 	}
-	j.done("job-000001", StateDone)
-	j.close()
+	st.done("job-000001")
 
-	j2, stats2, err := openJournal(dir, 0)
+	_, live, stats2, err := openStore(dir, journalHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.close()
 	if stats2.liveJobs != 1 {
 		t.Fatalf("liveJobs = %d, want 1 (job-000002)", stats2.liveJobs)
 	}
-	live := j2.takeLive()
-	if len(live) != 1 || live[0].submit.ID != "job-000002" {
+	if len(live) != 1 || live[0].ID != "job-000002" {
 		t.Fatalf("live = %+v", live)
 	}
 	if len(live[0].checkpoint) == 0 {
 		t.Fatal("replayed job lost its checkpoint")
 	}
-	if got := j2.maxLiveID(); got != 2 {
-		t.Fatalf("maxLiveID = %d, want 2", got)
+	s := mustNew(t, Config{Workers: 1, JournalDir: dir})
+	defer s.Shutdown(context.Background())
+	if v := submitSource(t, s, manyExecsSource, "sc", 1); v.ID != "job-000003" {
+		t.Fatalf("first id after restart = %s, want job-000003 (continuing from job-000002)", v.ID)
 	}
 }
 
-// TestJournalSkipsTornAndForeignRecords: a torn tail (the crash artifact
-// the journal exists to survive) and records from another engine schema
-// are dropped, never fatal, and are counted.
-// TestJournalLineMatchesMarshal: splicing an encoded checkpoint into its
-// journal line must write exactly the bytes json.Marshal writes for the
-// record, for checkpoint records (with a real, HTML-escaping checkpoint)
-// and for records without one.
-func TestJournalLineMatchesMarshal(t *testing.T) {
-	p, err := litmus.Parse(manyExecsSource)
+// TestJournalStoreCycles takes the store through many submit, checkpoint
+// and done cycles: only the live jobs' files remain, a job retired before
+// its submit was stored never gets a file, and a reopen re-enqueues
+// exactly the live jobs with their latest checkpoints. Left-over files —
+// undecodable or foreign-schema specs, an orphan checkpoint, a temp file
+// of an interrupted write — are counted and removed on open.
+func TestJournalStoreCycles(t *testing.T) {
+	dir := t.TempDir()
+	st, _, _, err := openStore(dir, journalHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, _ := memmodel.ByName("sc")
-	res, err := core.Explore(p, core.Options{Model: model, MaxExecutions: 50, Checkpoint: &core.CheckpointOptions{}})
-	if err != nil {
-		t.Fatal(err)
+	var cps []*core.Checkpoint
+	_, err = core.Explore(mustTest(t, "IRIW"), core.Options{
+		Model:      memmodel.TSO{},
+		Checkpoint: &core.CheckpointOptions{EveryExecs: 1, Sink: func(c *core.Checkpoint) { cps = append(cps, c) }},
+	})
+	if err != nil || len(cps) < 2 {
+		t.Fatalf("checkpointed run: err %v, %d checkpoints", err, len(cps))
 	}
-	data, err := res.Checkpoint.Encode()
-	if err != nil {
-		t.Fatal(err)
+	live := map[string][]byte{}
+	for i := 1; i <= 20; i++ {
+		id := fmt.Sprintf("job-%06d", i)
+		st.submit(id, JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}})
+		for _, cp := range cps[:1+i%2] {
+			if !st.checkpoint(id, cp) {
+				t.Fatalf("%s: checkpoint not written", id)
+			}
+		}
+		if i == 7 || i == 13 {
+			data, _ := cps[i%2].Encode()
+			live[id] = data
+			continue
+		}
+		st.done(id)
 	}
-	for _, rec := range []jrec{
-		{Type: jrecCheckpoint, Schema: core.SchemaVersion, ID: "job-000001", Checkpoint: data},
-		{Type: jrecSubmit, Schema: core.SchemaVersion, ID: "job-000002", JobSpec: JobSpec{Source: "<&>", TimeoutMS: 25}},
-		{Type: jrecDone, Schema: core.SchemaVersion, ID: "job-000003", State: string(StateDone)},
+	// A fast job can finish before its submitter stores the spec.
+	st.done("job-000021")
+	st.submit("job-000021", JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}})
+	if st.checkpoint("job-000021", cps[0]) {
+		t.Fatal("checkpoint written for a retired job")
+	}
+
+	want := []string{"job-000007.ckpt", "job-000007.json", "job-000013.ckpt", "job-000013.json"}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store files = %q, want only the live jobs' %q", got, want)
+	}
+
+	foreign := fmt.Sprintf(`{"schema":%d,"id":"job-000030","test":"SB","model":"sc"}`, core.SchemaVersion+1)
+	for name, data := range map[string]string{
+		"job-000030.json":         foreign,
+		"job-000031.json":         `{"schema":1,"id":"job-0000`,
+		"job-000032.ckpt":         "{}",
+		"job-000007.ckpt.123.tmp": "torn",
 	} {
-		want, err := json.Marshal(rec)
-		if err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := appendLine([]byte("prefix\n"), rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got) != "prefix\n"+string(want)+"\n" {
-			t.Errorf("%s record: spliced line differs from json.Marshal:\n got %.200s\nwant %.200s", rec.Type, got, want)
+	}
+	_, jobs, stats, err := openStore(dir, journalHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.liveJobs != 2 || stats.skipped != 3 || stats.wrongSchema != 1 {
+		t.Fatalf("stats = %+v, want 2 live, 3 skipped (garbage spec, orphan ckpt, temp file), 1 wrong-schema", stats)
+	}
+	if got := dirNames(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store files after reopen = %q, want %q", got, want)
+	}
+	if len(jobs) != 2 || jobs[0].ID != "job-000007" || jobs[1].ID != "job-000013" {
+		t.Fatalf("live jobs = %+v, want job-000007 and job-000013 in id order", jobs)
+	}
+	for _, sj := range jobs {
+		if !bytes.Equal(sj.checkpoint, live[sj.ID]) {
+			t.Errorf("%s: stored checkpoint is not the latest one written", sj.ID)
 		}
 	}
 }
 
+// dirNames lists the file names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestJournalSkipsTornAndForeignRecords: a legacy journal file with a
+// torn tail (the crash artifact the journal existed to survive) and a
+// record from another engine schema imports its one good job; the bad
+// records are dropped, never fatal, and are counted.
 func TestJournalSkipsTornAndForeignRecords(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := openJournal(dir, 0)
-	if err != nil {
+	submit, _ := json.Marshal(jrec{Type: "submit", Schema: core.SchemaVersion, ID: "job-000001", JobSpec: JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}}})
+	foreign, _ := json.Marshal(jrec{Type: "submit", Schema: core.SchemaVersion + 1, ID: "job-000009", JobSpec: JobSpec{Test: "LB"}})
+	torn := `{"type":"submit","schema":1,"id":"job-0000` // torn, no newline
+	journal := fmt.Sprintf("%s\n%s\n%s", submit, foreign, torn)
+	if err := os.WriteFile(filepath.Join(dir, "journal-000000001.jsonl"), []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j.submit("job-000001", JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}})
-	j.close()
 
-	// Corrupt the journal the way a crash mid-append would: a torn final
-	// line. Also splice in a record from a pretend future engine.
-	files, err := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("journal files = %v (%v)", files, err)
-	}
-	foreign, _ := json.Marshal(jrec{Type: jrecSubmit, Schema: core.SchemaVersion + 1, ID: "job-000009", JobSpec: JobSpec{Test: "LB"}})
-	f, err := os.OpenFile(files[0], os.O_APPEND|os.O_WRONLY, 0o644)
+	_, _, stats, err := openStore(dir, journalHooks{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("open after corruption: %v", err)
 	}
-	fmt.Fprintf(f, "%s\n", foreign)
-	fmt.Fprintf(f, `{"type":"submit","schema":1,"id":"job-0000`) // torn, no newline
-	f.Close()
-
-	j2, stats, err := openJournal(dir, 0)
-	if err != nil {
-		t.Fatalf("reopen after corruption: %v", err)
-	}
-	defer j2.close()
 	if stats.liveJobs != 1 || stats.skipped != 1 || stats.wrongSchema != 1 {
 		t.Fatalf("stats = %+v, want 1 live, 1 skipped, 1 wrong-schema", stats)
 	}
-}
-
-// TestJournalRotationCompacts: appends past the size bound rotate into a
-// fresh file seeded with only the live state, and the old file is
-// removed — finished jobs' records are garbage-collected.
-func TestJournalRotationCompacts(t *testing.T) {
-	dir := t.TempDir()
-	j, _, err := openJournal(dir, 512) // tiny bound: rotate every few records
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 40; i++ {
-		id := fmt.Sprintf("job-%06d", i)
-		j.submit(id, JobSpec{Test: "SB", Spec: backend.Spec{Model: "sc"}})
-		if i != 7 { // keep one job live across every rotation
-			j.done(id, StateDone)
-		}
-	}
-	j.close()
-
-	files, _ := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
-	if len(files) != 1 {
-		t.Fatalf("after rotation %d files remain: %v", len(files), files)
-	}
-	// The surviving file holds the last compaction snapshot (the one live
-	// job) plus whatever was appended since — far fewer than the 79
-	// records written in total.
-	data, _ := os.ReadFile(files[0])
-	if n := strings.Count(string(data), "\n"); n > 12 {
-		t.Fatalf("compacted journal has %d records, want a handful:\n%s", n, data)
-	}
-	j2, stats, err := openJournal(dir, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.close()
-	if stats.liveJobs != 1 || j2.maxLiveID() != 7 {
-		t.Fatalf("stats = %+v maxLiveID = %d, want the one live job-000007", stats, j2.maxLiveID())
+	if files, _ := filepath.Glob(filepath.Join(dir, "journal-*.jsonl")); len(files) != 0 {
+		t.Fatalf("imported journal files not removed: %v", files)
 	}
 }
 
@@ -216,8 +222,8 @@ func TestServiceResumesAfterKill(t *testing.T) {
 	s := mustNew(t, cfg)
 	v := submitSource(t, s, manyExecsSource, "sc", 0)
 
-	// Wait for at least two checkpoints to hit the journal, then "kill"
-	// the process: the journal freezes on disk mid-job.
+	// Wait for at least two checkpoints to hit the store, then "kill"
+	// the process: the job files freeze on disk mid-job.
 	deadline := time.Now().Add(30 * time.Second)
 	for s.Metrics().JournalCheckpoints.Load() < 2 {
 		if time.Now().After(deadline) {
@@ -226,13 +232,13 @@ func TestServiceResumesAfterKill(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	saved := s.Metrics().JournalCheckpoints.Load()
-	s.killForTest()
-	s.Cancel(v.ID) // stop burning CPU; the canceled record is dropped (dead journal)
+	s.store.kill() // the files freeze on disk, as if the process had been SIGKILLed
+	s.Cancel(v.ID) // stop burning CPU; the files are not removed (dead store)
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	// Restart on the same journal directory.
+	// Restart on the same directory.
 	s2 := mustNew(t, cfg)
 	defer s2.Shutdown(context.Background())
 	for !s2.Ready() {
@@ -294,9 +300,9 @@ func TestServiceResumesAfterKill(t *testing.T) {
 }
 
 // TestJournalReplaysOldShardsRecord: a submit record journaled by an
-// older daemon that still accepted a "shards" count replays as a plain
-// job — journal records decode leniently — and finishes with the straight
-// run's totals.
+// older daemon that still accepted a "shards" count imports and replays
+// as a plain job — journal records decode leniently — and finishes with
+// the straight run's totals.
 func TestJournalReplaysOldShardsRecord(t *testing.T) {
 	dir := t.TempDir()
 	rec := fmt.Sprintf(`{"type":"submit","schema":%d,"id":"job-000001","test":"SB","model":"tso","shards":4}`+"\n", core.SchemaVersion)
@@ -388,10 +394,10 @@ func TestVerdictFileSchemaMismatchDropped(t *testing.T) {
 	}
 }
 
-// TestJournalReplayUnbuildableJobFails: a journaled job whose program no
+// TestJournalReplayUnbuildableJobFails: an imported job whose program no
 // longer builds (here, a corpus test this binary does not have) is
-// recorded as failed, stays pollable, and is journaled done so the next
-// start does not replay it again.
+// recorded as failed, stays pollable, and has its files removed so the
+// next start does not replay it again.
 func TestJournalReplayUnbuildableJobFails(t *testing.T) {
 	dir := t.TempDir()
 	rec := fmt.Sprintf(`{"type":"submit","schema":%d,"id":"job-000001","test":"no-such-test","model":"tso"}`+"\n", core.SchemaVersion)

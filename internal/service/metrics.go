@@ -45,11 +45,11 @@ type Metrics struct {
 	JobsQuarantined      atomic.Int64
 	QuarantineArtifacts  atomic.Int64
 
-	JournalWriteErrors atomic.Int64 // journal write/fsync failures survived in degraded mode
+	JournalWriteErrors atomic.Int64 // job-store write/fsync failures survived in degraded mode
 
-	JournalReplayedJobs   atomic.Int64 // incomplete jobs re-enqueued from the journal on startup
-	JournalCheckpoints    atomic.Int64 // periodic exploration checkpoints journaled
-	JournalSkippedRecords atomic.Int64 // torn or wrong-schema journal records dropped on replay
+	JournalReplayedJobs   atomic.Int64 // incomplete jobs re-enqueued from the job store on startup
+	JournalCheckpoints    atomic.Int64 // periodic exploration checkpoints stored
+	JournalSkippedRecords atomic.Int64 // bad or left-over job files and legacy journal lines dropped on startup
 	ResumeSavedExecs      atomic.Int64 // executions restored from checkpoints instead of re-explored
 	VerdictsReloaded      atomic.Int64 // cache entries restored from verdicts.json on startup
 
@@ -263,17 +263,17 @@ func (m *Metrics) writePrometheus(w io.Writer, queueDepth, cacheEntries, cacheCa
 	counter("hmcd_jobs_quarantined_total", "Jobs failed with a quarantined cross-backend disagreement.", m.JobsQuarantined.Load())
 	counter("hmcd_quarantine_artifacts_total", "Disagreement repro artifacts written.", m.QuarantineArtifacts.Load())
 	m.writeBackendLatencies(w)
-	counter("hmcd_journal_write_errors_total", "Journal write or fsync failures survived in degraded mode.", m.JournalWriteErrors.Load())
-	counter("hmcd_journal_replayed_jobs_total", "Incomplete jobs re-enqueued from the journal on startup.", m.JournalReplayedJobs.Load())
-	counter("hmcd_journal_checkpoints_total", "Periodic exploration checkpoints journaled.", m.JournalCheckpoints.Load())
-	counter("hmcd_journal_skipped_records_total", "Torn or wrong-schema journal records dropped on replay.", m.JournalSkippedRecords.Load())
+	counter("hmcd_journal_write_errors_total", "Job-store write or fsync failures survived in degraded mode.", m.JournalWriteErrors.Load())
+	counter("hmcd_journal_replayed_jobs_total", "Incomplete jobs re-enqueued from the job store on startup.", m.JournalReplayedJobs.Load())
+	counter("hmcd_journal_checkpoints_total", "Periodic exploration checkpoints stored.", m.JournalCheckpoints.Load())
+	counter("hmcd_journal_skipped_records_total", "Undecodable, wrong-schema or left-over job files and torn legacy journal lines dropped on startup.", m.JournalSkippedRecords.Load())
 	counter("hmcd_resume_saved_execs_total", "Executions restored from checkpoints instead of re-explored.", m.ResumeSavedExecs.Load())
 	counter("hmcd_verdicts_reloaded_total", "Verdict cache entries restored from disk on startup.", m.VerdictsReloaded.Load())
 	readyV := int64(0)
 	if ready {
 		readyV = 1
 	}
-	gaugeI("hmcd_ready", "1 once journal replay has finished and the service accepts work.", readyV)
+	gaugeI("hmcd_ready", "1 once stored jobs are re-enqueued and the service accepts work.", readyV)
 	gaugeI("hmcd_crash_artifacts_resident", "Crash artifacts currently on disk.", int64(crashResident))
 	counter("hmcd_cache_hits_total", "Verdict cache hits.", m.CacheHits.Load())
 	counter("hmcd_cache_misses_total", "Verdict cache misses.", m.CacheMisses.Load())

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 
@@ -68,10 +67,17 @@ func loadVerdicts(dir string, cache *verdictCache) int {
 	return n
 }
 
-// saveVerdicts writes the cache snapshot atomically (temp file + rename),
-// so a crash mid-write leaves the previous file intact.
-func saveVerdicts(dir string, cache *verdictCache) error {
-	entries := cache.snapshot()
+// persistVerdicts writes the cache snapshot through the job store's
+// atomic writer (a no-op without a store), so a crash mid-write leaves the
+// previous file intact. Persistence is best effort; a failed write
+// degrades the store like any other.
+func (s *Service) persistVerdicts() {
+	if s.cfg.CacheSize <= 0 || s.store == nil {
+		return
+	}
+	s.persistMu.Lock()
+	defer s.persistMu.Unlock()
+	entries := s.cache.snapshot()
 	vf := verdictFileJSON{Schema: core.SchemaVersion, Verdicts: make([]storedVerdict, 0, len(entries))}
 	for _, e := range entries {
 		sv := storedVerdict{
@@ -86,12 +92,7 @@ func saveVerdicts(dir string, cache *verdictCache) error {
 	}
 	data, err := json.Marshal(vf)
 	if err != nil {
-		return err
+		return
 	}
-	path := filepath.Join(dir, verdictFile)
-	tmp := fmt.Sprintf("%s.tmp.%d", path, os.Getpid())
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	s.store.writeFile(verdictFile, data)
 }

@@ -47,20 +47,12 @@ type QuarantineArtifact struct {
 // LoadQuarantineArtifact reads one disagreement artifact written by the
 // service, rejecting files of the wrong kind or engine schema.
 func LoadQuarantineArtifact(path string) (*QuarantineArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
 	a := &QuarantineArtifact{}
-	if err := json.Unmarshal(data, a); err != nil {
-		return nil, fmt.Errorf("quarantine artifact %s: %w", path, err)
+	if err := loadArtifact(path, "quarantine", a, &a.Schema); err != nil {
+		return nil, err
 	}
 	if a.Kind != quarantineKind {
 		return nil, fmt.Errorf("quarantine artifact %s: kind %q, want %q", path, a.Kind, quarantineKind)
-	}
-	if a.Schema != core.SchemaVersion {
-		return nil, fmt.Errorf("quarantine artifact %s: engine schema %d, this binary is %d — not replayable",
-			path, a.Schema, core.SchemaVersion)
 	}
 	return a, nil
 }

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,7 +29,6 @@ import (
 	"hmc/internal/analyze"
 	"hmc/internal/backend"
 	"hmc/internal/core"
-	"hmc/internal/faultinject"
 	"hmc/internal/litmus"
 	"hmc/internal/obs"
 	"hmc/internal/prog"
@@ -72,16 +72,13 @@ type Config struct {
 	// fingerprint are rejected with ErrCircuitOpen until breakerCooldown
 	// has passed (default 3; negative disables the breaker).
 	BreakerThreshold int
-	// JournalDir, when set, makes the service durable: accepted jobs,
-	// periodic exploration checkpoints and terminal transitions are
-	// written to a fsynced write-ahead journal there, and the verdict
-	// cache is persisted to verdicts.json alongside it. On startup the
-	// journal is replayed — jobs that were queued or running when the
-	// process died are re-enqueued, resuming from their last checkpoint.
-	// Empty disables durability (the previous, in-memory-only behavior).
+	// JournalDir, when set, makes the service durable: each live job keeps
+	// its spec and latest checkpoint there (see store.go) next to the
+	// persisted verdict cache, so jobs a dead process left queued or
+	// running resume at the next start. Empty keeps everything in memory.
 	JournalDir string
 	// CheckpointEveryExecs is how often a running exploration drains into
-	// a journal checkpoint, in executions (default
+	// a stored checkpoint, in executions (default
 	// core.DefaultCheckpointEvery; only meaningful with JournalDir): one
 	// checkpoint per that many executions, however often progress pauses
 	// the run. Smaller loses less work to a crash; larger checkpoints less
@@ -92,12 +89,8 @@ type Config struct {
 	// histograms (default 1s; negative disables progress entirely).
 	// Snapshots ride the explorer's drain barrier, so the overhead is one
 	// wave pause per cadence (EXPERIMENTS.md T15 bounds it at <5%); a
-	// progress pause writes no journal checkpoint.
+	// progress pause writes no checkpoint.
 	ProgressEvery time.Duration
-	// ChaosPlan, when non-nil, threads a deterministic fault-injection
-	// plan (internal/faultinject) through the journal file — the dev-only
-	// harness behind `hmcd -chaos-plan`. Never set in production.
-	ChaosPlan *faultinject.Plan
 	// Portfolio races every applicable backend (internal/backend) on each
 	// non-resumed job and cross-attests the verdicts. The DFS anchor still
 	// produces the served result — behavior is identical to the
@@ -181,8 +174,8 @@ func (s JobState) Terminal() bool {
 }
 
 // JobSpec is one checking job as it travels: the HTTP submit body, the
-// journal's submit record and the job part of crash and quarantine
-// artifacts all are this type, under the same JSON keys.
+// stored spec file and the job part of crash and quarantine artifacts all
+// are this type, under the same JSON keys.
 type JobSpec struct {
 	// Source or Test names the program: litmus text or a corpus test
 	// name (see litmus.Resolve).
@@ -202,6 +195,11 @@ func (js JobSpec) BuildProgram() (*prog.Program, error) {
 	return litmus.Resolve(js.Source, js.Test)
 }
 
+// durable reports whether the program can be rebuilt from the spec alone.
+func (js JobSpec) durable() bool {
+	return js.Source != "" || js.Test != ""
+}
+
 // timeout is the requested wall-clock budget (0: none requested).
 func (js JobSpec) timeout() time.Duration {
 	return time.Duration(js.TimeoutMS) * time.Millisecond
@@ -209,7 +207,7 @@ func (js JobSpec) timeout() time.Duration {
 
 // SubmitRequest describes one checking job: the program to check
 // (required) and its spec. Source/Test in the spec record how the program
-// was submitted; either makes the job journaled and its crash artifact
+// was submitted; either makes the job durable and its crash artifact
 // replayable with `hmc -repro`. Library callers passing a built Program
 // may leave both empty, at the cost of dump-only artifacts.
 type SubmitRequest struct {
@@ -253,7 +251,7 @@ type Job struct {
 
 	cancel     context.CancelFunc // non-nil only while running
 	userCancel bool               // Cancel() was called
-	resumeFrom *core.Checkpoint   // journal-replayed checkpoint to resume from
+	resumeFrom *core.Checkpoint   // stored checkpoint to resume from
 	resumed    bool               // this job continued a pre-restart exploration
 
 	// progress is the job's latest exploration snapshot (nil until the
@@ -302,8 +300,8 @@ type JobView struct {
 	Attempts      int
 	EngineError   *core.EngineError
 	CrashArtifact string
-	// Resumed marks a job that survived a daemon restart: it was replayed
-	// from the journal and its exploration continued from the last
+	// Resumed marks a job that survived a daemon restart: it was read back
+	// from the job store and its exploration continued from the last
 	// checkpoint instead of starting over.
 	Resumed bool
 	// Attestation is the portfolio's per-backend trail (nil on the
@@ -322,7 +320,7 @@ type JobView struct {
 
 func (j *Job) view() JobView {
 	var name, existsDesc string
-	if p := j.req.Program; p != nil { // nil: a journaled job that no longer builds
+	if p := j.req.Program; p != nil { // nil: a stored job that no longer builds
 		name, existsDesc = p.Name, p.ExistsDesc
 	}
 	return JobView{
@@ -357,7 +355,7 @@ type Service struct {
 	cache   *verdictCache
 	metrics Metrics
 	crashes *crashStore // nil when artifact capture is disabled
-	journal *journal    // nil when Config.JournalDir is empty
+	store   *jobStore   // nil when Config.JournalDir is empty
 
 	// quarantines stores disagreement artifacts (nil without
 	// Config.Portfolio); alternates are the non-anchor portfolio
@@ -376,12 +374,10 @@ type Service struct {
 	crashMu   sync.Mutex // serializes artifact writes (held without s.mu)
 	persistMu sync.Mutex // serializes verdict-file writes (held without s.mu)
 
-	// ready flips once journal replay has re-enqueued every incomplete
-	// job; /readyz gates on it so a load balancer does not route fresh
-	// submissions to a daemon still rebuilding its backlog. killed is the
-	// restart-test hook: all durable writes stop, as if SIGKILLed.
+	// ready flips once replay has re-enqueued every stored job; /readyz
+	// gates on it so a load balancer does not route fresh submissions to a
+	// daemon still rebuilding its backlog.
 	ready   atomic.Bool
-	killed  atomic.Bool
 	drainCh chan struct{}  // closed when draining starts (unblocks replay)
 	replay  sync.WaitGroup // the replay goroutine
 
@@ -389,12 +385,18 @@ type Service struct {
 }
 
 // New starts a service with cfg's worker pool already draining the queue.
-// With Config.JournalDir set it first replays the journal — re-enqueueing
+// With Config.JournalDir set it first opens the job store — re-enqueueing
 // jobs that were incomplete when the previous process died, resuming each
 // from its last checkpoint — and reloads the persisted verdict cache; the
 // error return is for a journal directory that cannot be opened. Call
 // Shutdown to stop the service.
 func New(cfg Config) (*Service, error) {
+	return newService(cfg, journalHooks{})
+}
+
+// newService is New with file hooks on the job store and the artifact
+// directories (tests inject write faults through hooks.Wrap).
+func newService(cfg Config, hooks journalHooks) (*Service, error) {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:     cfg,
@@ -406,31 +408,27 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.cache.evictions = &s.metrics.CacheEvictions
 	if cfg.MaxCrashArtifacts > 0 {
-		s.crashes = &crashStore{dir: cfg.CrashDir, max: cfg.MaxCrashArtifacts}
+		s.crashes = &crashStore{dir: cfg.CrashDir, max: cfg.MaxCrashArtifacts, wrap: hooks.Wrap}
 	}
 	if cfg.Portfolio {
-		s.quarantines = &crashStore{dir: cfg.QuarantineDir, max: maxQuarantineArtifacts}
+		s.quarantines = &crashStore{dir: cfg.QuarantineDir, max: maxQuarantineArtifacts, wrap: hooks.Wrap}
 	}
-	var replay []*journalJob
+	var replay []*storedJob
 	if cfg.JournalDir != "" {
-		hooks := journalHooks{
-			OnWriteError: func(error) { s.metrics.JournalWriteErrors.Add(1) },
-		}
-		if cfg.ChaosPlan != nil && cfg.ChaosPlan.Journal != nil {
-			plan := cfg.ChaosPlan
-			hooks.Wrap = func(f journalFile) journalFile { return faultinject.WrapFile(f, plan, nil) }
-		}
-		jl, stats, err := openJournalWith(cfg.JournalDir, journalMaxBytes, hooks)
+		hooks.OnWriteError = func(error) { s.metrics.JournalWriteErrors.Add(1) }
+		st, jobs, stats, err := openStore(cfg.JournalDir, hooks)
 		if err != nil {
 			return nil, fmt.Errorf("service: journal: %w", err)
 		}
-		s.journal = jl
+		s.store = st
 		s.metrics.JournalSkippedRecords.Add(int64(stats.skipped + stats.wrongSchema))
-		s.nextID = jl.maxLiveID()
+		if len(jobs) > 0 { // continue the id sequence
+			fmt.Sscanf(jobs[len(jobs)-1].ID, "job-%d", &s.nextID) //nolint:errcheck // 0 on a foreign id
+		}
 		if cfg.CacheSize > 0 {
 			s.metrics.VerdictsReloaded.Add(int64(loadVerdicts(cfg.JournalDir, s.cache)))
 		}
-		replay = jl.takeLive()
+		replay = jobs
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -441,29 +439,30 @@ func New(cfg Config) (*Service, error) {
 			}
 		}()
 	}
-	// Re-enqueue the journal backlog off the startup path: replay may
+	// Re-enqueue the stored backlog off the startup path: replay may
 	// block on a full queue, and the workers started above are already
 	// draining it. ready flips only after the whole backlog is queued.
 	s.replay.Add(1)
 	go func() {
 		defer s.replay.Done()
 		defer s.ready.Store(true)
-		for _, jj := range replay {
-			s.replayJob(jj)
+		for _, sj := range replay {
+			s.replayJob(sj)
 		}
 	}()
 	return s, nil
 }
 
-// replayJob rebuilds one journaled job and re-enqueues it. A job whose
+// replayJob rebuilds one stored job and re-enqueues it. A job whose
 // program can no longer be rebuilt (corpus test renamed, source no longer
-// parsing under this binary) is recorded as failed — and journaled done,
-// so it is not replayed forever. A checkpoint that no longer decodes or
-// matches is dropped: the job runs fresh rather than not at all.
-func (s *Service) replayJob(jj *journalJob) {
-	req := SubmitRequest{JobSpec: jj.submit.JobSpec}
+// parsing under this binary) is recorded as failed — and its files
+// removed, so it is not replayed forever. A checkpoint that no longer
+// decodes or matches is dropped: the job runs fresh rather than not at
+// all.
+func (s *Service) replayJob(sj *storedJob) {
+	req := SubmitRequest{JobSpec: sj.JobSpec}
 	j := &Job{
-		id:        jj.submit.ID,
+		id:        sj.ID,
 		state:     StateQueued,
 		timeout:   req.timeout(),
 		submitted: time.Now(),
@@ -482,12 +481,12 @@ func (s *Service) replayJob(jj *journalJob) {
 		s.metrics.JobsFailed.Add(1)
 		s.recordFinishedLocked(j)
 		s.mu.Unlock()
-		s.journal.done(j.id, StateFailed)
+		s.retire(j)
 		return
 	}
 	j.fingerprint = req.Program.Fingerprint()
 	j.cacheKey = cacheKey(j.fingerprint, req.Spec)
-	if cp, err := core.DecodeCheckpoint(jj.checkpoint); err == nil && len(jj.checkpoint) > 0 {
+	if cp, err := core.DecodeCheckpoint(sj.checkpoint); err == nil && len(sj.checkpoint) > 0 {
 		j.resumeFrom = cp
 		j.resumed = true
 		s.metrics.ResumeSavedExecs.Add(int64(cp.Stats.Executions))
@@ -496,15 +495,15 @@ func (s *Service) replayJob(jj *journalJob) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return // still live in the journal; the next startup replays it
+		return // still stored; the next startup replays it
 	}
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 	select {
 	case s.queue <- j:
 	case <-s.drainCh:
-		// Shutdown won the race for queue space. Leave the job live in
-		// the journal (no done record): it replays on the next start.
+		// Shutdown won the race for queue space. Leave the job's files
+		// in place: it replays on the next start.
 		s.mu.Lock()
 		if j.state == StateQueued {
 			j.state = StateCanceled
@@ -516,7 +515,7 @@ func (s *Service) replayJob(jj *journalJob) {
 	}
 }
 
-// Ready reports whether the service has finished replaying its journal
+// Ready reports whether the service has finished re-enqueueing its stored
 // backlog and is not draining — the /readyz signal.
 func (s *Service) Ready() bool {
 	s.mu.Lock()
@@ -548,11 +547,16 @@ func (s *Service) safeRunJob(j *Job) {
 		s.metrics.JobsFailed.Add(1)
 		s.recordFinishedLocked(j)
 		s.mu.Unlock()
-		if s.journal != nil {
-			s.journal.done(j.id, StateFailed)
-		}
+		s.retire(j)
 	}()
 	s.runJob(j)
+}
+
+// retire removes a durable job's files at its terminal transition.
+func (s *Service) retire(j *Job) {
+	if s.store != nil && j.req.durable() {
+		s.store.done(j.id)
+	}
 }
 
 // Metrics exposes the counters (for tests and embedding servers).
@@ -596,7 +600,7 @@ func (s *Service) Submit(req SubmitRequest) (JobView, error) {
 	if s.cfg.MaxTimeout > 0 && (timeout <= 0 || timeout > s.cfg.MaxTimeout) {
 		timeout = s.cfg.MaxTimeout
 	}
-	// The journal and crash artifacts record the effective deadline.
+	// The stored spec and crash artifacts record the effective deadline.
 	req.TimeoutMS = timeout.Milliseconds()
 	fp := req.Program.Fingerprint()
 
@@ -656,10 +660,10 @@ func (s *Service) Submit(req SubmitRequest) (JobView, error) {
 	}
 	view := j.view()
 	s.mu.Unlock()
-	// Journal the accepted job before answering (the fsync is the
+	// Store the accepted job before answering (the fsync is the
 	// durability point), outside s.mu so disk latency never blocks polls.
-	if s.journal != nil {
-		s.journal.submit(j.id, req.JobSpec)
+	if s.store != nil {
+		s.store.submit(j.id, req.JobSpec)
 	}
 	return view, nil
 }
@@ -678,14 +682,12 @@ func (s *Service) Get(id string) (JobView, bool) {
 // Jobs snapshots every retained job, newest first.
 func (s *Service) Jobs() []JobView {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	views := make([]JobView, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		views = append(views, j.view())
 	}
-	for i, k := 0, len(views)-1; i < k; i, k = i+1, k-1 {
-		views[i], views[k] = views[k], views[i]
-	}
+	s.mu.Unlock()
+	sort.Slice(views, func(a, b int) bool { return idLess(views[b].ID, views[a].ID) })
 	return views
 }
 
@@ -706,10 +708,8 @@ func (s *Service) Cancel(id string) bool {
 		s.metrics.JobsCanceled.Add(1)
 		s.recordFinishedLocked(j)
 		s.mu.Unlock()
-		// Retire the job from the journal outside s.mu (fsync latency).
-		if s.journal != nil {
-			s.journal.done(id, StateCanceled)
-		}
+		// Retire the job's files outside s.mu (fsync latency).
+		s.retire(j)
 		return true
 	}
 	if j.cancel != nil {
@@ -737,15 +737,15 @@ func (s *Service) runJob(j *Job) {
 	j.started = time.Now()
 	s.mu.Unlock()
 
-	// Periodic checkpoints flow straight into the journal; the sink runs
-	// on the explorer's drain barrier, so journal fsync latency paces
+	// Periodic checkpoints flow straight into the job store; the sink
+	// runs on the explorer's drain barrier, so fsync latency paces
 	// checkpointing, never individual executions.
 	var ckptOpts *core.CheckpointOptions
-	if s.journal != nil {
+	if s.store != nil {
 		ckptOpts = &core.CheckpointOptions{
 			EveryExecs: s.cfg.CheckpointEveryExecs,
 			Sink: func(cp *core.Checkpoint) {
-				if s.journal.checkpoint(j.id, cp) {
+				if s.store.checkpoint(j.id, cp) {
 					s.metrics.JournalCheckpoints.Add(1)
 				}
 			},
@@ -773,7 +773,7 @@ func (s *Service) runJob(j *Job) {
 		copts.Checkpoint = ckptOpts
 		copts.Progress = progOpts
 		// The portfolio covers plain one-explorer runs; a job resuming
-		// from a checkpoint (journal replay, memory-budget retry) covers a
+		// from a checkpoint (restart replay, memory-budget retry) covers a
 		// prefix no other engine can reproduce, so it runs the DFS alone.
 		if s.cfg.Portfolio && j.resumeFrom == nil {
 			return s.explorePortfolio(ctx, j, copts)
@@ -810,8 +810,8 @@ func (s *Service) runJob(j *Job) {
 		userCancel = j.userCancel
 		s.mu.Unlock()
 		if errors.Is(err, core.ErrCheckpointMismatch) && j.resumeFrom != nil {
-			// The journaled checkpoint no longer matches this program,
-			// model or engine (e.g. the binary changed under the journal).
+			// The stored checkpoint no longer matches this program,
+			// model or engine (e.g. the binary changed under the store).
 			// Run fresh rather than fail; the retry does not consume an
 			// attempt — nothing was explored yet.
 			s.mu.Lock()
@@ -914,17 +914,14 @@ func (s *Service) runJob(j *Job) {
 			cached = true
 		}
 	}
-	state := j.state
 	s.recordFinishedLocked(j)
 	s.mu.Unlock()
 
-	// Durability tail, outside s.mu: retire the job from the journal and
-	// persist the verdict cache when it gained an entry.
-	if s.journal != nil {
-		s.journal.done(j.id, state)
-		if cached {
-			s.persistVerdicts()
-		}
+	// Durability tail, outside s.mu: retire the job's files and persist
+	// the verdict cache when it gained an entry.
+	s.retire(j)
+	if cached {
+		s.persistVerdicts()
 	}
 }
 
@@ -977,32 +974,6 @@ func (s *Service) WaitProgress(ctx context.Context, id string, afterSeq int) (Jo
 	}
 }
 
-// persistVerdicts writes the verdict cache to disk (atomic replace). A
-// no-op once killForTest has fired: the simulated-dead process must not
-// keep writing durable state.
-func (s *Service) persistVerdicts() {
-	if s.cfg.CacheSize <= 0 || s.killed.Load() {
-		return
-	}
-	s.persistMu.Lock()
-	defer s.persistMu.Unlock()
-	if s.killed.Load() {
-		return
-	}
-	saveVerdicts(s.cfg.JournalDir, s.cache) //nolint:errcheck // cache persistence is best effort
-}
-
-// killForTest simulates the process dying for restart tests: the journal
-// freezes on disk and verdict persistence stops, exactly as if the
-// process had been SIGKILLed at this instant. In-memory state keeps
-// running (the test still has to Shutdown), but nothing durable changes.
-func (s *Service) killForTest() {
-	s.killed.Store(true)
-	if s.journal != nil {
-		s.journal.kill()
-	}
-}
-
 // buildArtifact assembles the crash repro for a failed job.
 func (s *Service) buildArtifact(j *Job, ee *core.EngineError) *CrashArtifact {
 	return &CrashArtifact{
@@ -1046,11 +1017,10 @@ func (s *Service) recordFinishedLocked(j *Job) {
 }
 
 // Shutdown stops accepting jobs, waits for the queue to drain and the
-// workers to finish, then flushes the verdict cache and closes the
-// journal. If ctx expires first, every queued and running job is
-// cancelled (their partial results remain pollable; a cancelled running
-// job's last journaled checkpoint stays live, so the next start resumes
-// it) and Shutdown returns ctx.Err after the workers exit.
+// workers to finish, then flushes the verdict cache. If ctx expires
+// first, every queued and running job is cancelled (their partial results
+// remain pollable; a queued job's files stay, so the next start runs it)
+// and Shutdown returns ctx.Err after the workers exit.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	first := !s.draining
@@ -1095,11 +1065,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}()
-	if first && s.journal != nil {
-		if !s.killed.Load() {
-			s.persistVerdicts()
-		}
-		s.journal.close()
+	if first {
+		s.persistVerdicts()
 	}
 	return err
 }

@@ -279,6 +279,32 @@ func TestJobHistoryEviction(t *testing.T) {
 	}
 }
 
+// TestJobsNewestFirst: Jobs lists every retained job by id, newest first,
+// on every call.
+func TestJobsNewestFirst(t *testing.T) {
+	s := mustNew(t, Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+
+	sb, _ := litmus.ByName("SB")
+	var want []string
+	for i := 0; i < 8; i++ {
+		v, err := s.Submit(SubmitRequest{Program: sb.P, JobSpec: JobSpec{Spec: backend.Spec{Model: "tso"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append([]string{v.ID}, want...)
+	}
+	for call := 0; call < 3; call++ {
+		var got []string
+		for _, v := range s.Jobs() {
+			got = append(got, v.ID)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("Jobs() = %v, want newest first %v", got, want)
+		}
+	}
+}
+
 func TestVerdictCacheLRU(t *testing.T) {
 	c := newVerdictCache(2)
 	r := &core.Result{}

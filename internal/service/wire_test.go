@@ -1,7 +1,7 @@
 package service
 
 import (
-	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,41 +15,30 @@ import (
 	"testing"
 	"time"
 
+	"hmc/internal/backend"
 	"hmc/internal/core"
 	"hmc/internal/litmus"
 	"hmc/internal/memmodel"
 )
 
 // The tests in this file pin the service's persisted and wire formats —
-// journal records, HTTP submit bodies and verdicts.json keys — through
-// entry points that do not depend on the Go shape of the request types,
-// so files written by earlier daemons keep loading unchanged.
+// job files, legacy journal records, HTTP submit bodies and verdicts.json
+// keys — through entry points that do not depend on the Go shape of the
+// request types, so files written by earlier daemons keep loading
+// unchanged.
 
-// journalLines decodes every record of the journal files in dir.
-func journalLines(t *testing.T, dir string) []map[string]any {
+// readJSONFile decodes one JSON object file.
+func readJSONFile(t *testing.T, path string) map[string]any {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "journal-*.jsonl"))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(paths)
-	var out []map[string]any
-	for _, path := range paths {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc := bufio.NewScanner(f)
-		for sc.Scan() {
-			var m map[string]any
-			if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-				t.Fatalf("%s: %v", path, err)
-			}
-			out = append(out, m)
-		}
-		f.Close()
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatalf("%s: %v", path, err)
 	}
-	return out
+	return m
 }
 
 func sortedKeys(m map[string]any) []string {
@@ -79,11 +68,11 @@ func persistedKeys(t *testing.T, dir string) []string {
 	return keys
 }
 
-// TestWireJournalSubmitRecordReplays: a submit record in the journal
-// format carrying every job field survives compaction key for key, and
-// replays to the same job — its bounds reach the explorer (the execution
-// cap truncates the run) and its cache key is the one verdicts.json has
-// always been keyed by.
+// TestWireJournalSubmitRecordReplays: a submit record in the legacy
+// journal format carrying every job field imports into a spec file key
+// for key (less the record type), and replays to the same job — its
+// bounds reach the explorer (the execution cap truncates the run) and its
+// cache key is the one verdicts.json has always been keyed by.
 func TestWireJournalSubmitRecordReplays(t *testing.T) {
 	dir := t.TempDir()
 	rec := fmt.Sprintf(`{"type":"submit","schema":%d,"id":"job-000007","test":"IRIW","model":"tso",`+
@@ -93,13 +82,12 @@ func TestWireJournalSubmitRecordReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Compaction re-marshals the live submit record into a fresh file:
-	// it must come back with exactly the keys and values it went in with.
-	j, stats, err := openJournal(dir, 0)
+	// Import re-marshals the live submit record into its spec file: it
+	// must come back with exactly the keys and values it went in with.
+	_, _, stats, err := openStore(dir, journalHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.close()
 	if stats.liveJobs != 1 {
 		t.Fatalf("liveJobs = %d, want 1", stats.liveJobs)
 	}
@@ -107,9 +95,9 @@ func TestWireJournalSubmitRecordReplays(t *testing.T) {
 	if err := json.Unmarshal([]byte(rec), &want); err != nil {
 		t.Fatal(err)
 	}
-	lines := journalLines(t, dir)
-	if len(lines) != 1 || !reflect.DeepEqual(lines[0], want) {
-		t.Fatalf("compacted submit record changed:\ngot  %v\nwant %v", lines, want)
+	delete(want, "type")
+	if got := readJSONFile(t, filepath.Join(dir, "job-000007.json")); !reflect.DeepEqual(got, want) {
+		t.Fatalf("imported spec file changed:\ngot  %v\nwant %v", got, want)
 	}
 
 	s := mustNew(t, Config{Workers: 1, JournalDir: dir, CrashDir: filepath.Join(dir, "crashes")})
@@ -135,13 +123,17 @@ func TestWireJournalSubmitRecordReplays(t *testing.T) {
 	}
 }
 
-// TestWireJournalRecordKeys: a submit record journaled from an HTTP body
+// TestWireJournalRecordKeys: the spec file stored for an HTTP body
 // carries exactly the job keys the body set (an empty "source" is not
-// one), and checkpoint and done records carry only their own keys.
+// one) plus id and schema — the legacy submit record's keys less "type" —
+// and a stored checkpoint is byte for byte Checkpoint.Encode's output.
 func TestWireJournalRecordKeys(t *testing.T) {
 	dir := t.TempDir()
 	s := mustNew(t, Config{Workers: 1, JournalDir: dir, CrashDir: filepath.Join(dir, "crashes")})
 	ts := httptest.NewServer(s.Handler())
+	// A long job holds the only worker, so the posted job stays queued
+	// and its spec file on disk until the blocker is cancelled.
+	blocker := submitSource(t, s, manyExecsSource, "sc", 0)
 	body := `{"source":"","test":"SB","model":"tso","max_executions":3,"max_events":40,` +
 		`"memory_budget":1099511627776,"workers":2,"symmetry":true,"timeout_ms":60000}`
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -156,13 +148,29 @@ func TestWireJournalRecordKeys(t *testing.T) {
 	if err != nil || resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d, err %v", resp.StatusCode, err)
 	}
+	spec := readJSONFile(t, filepath.Join(dir, job.ID+".json"))
+	s.Cancel(blocker.ID)
 	waitState(t, s, job.ID)
 	ts.Close()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	// A checkpoint record, written straight through the journal.
+	want := []string{"id", "max_events", "max_executions", "memory_budget", "model", "schema",
+		"symmetry", "test", "timeout_ms", "workers"}
+	if got := sortedKeys(spec); !reflect.DeepEqual(got, want) {
+		t.Errorf("spec file keys = %v, want %v", got, want)
+	}
+	if spec["test"] != "SB" || spec["model"] != "tso" || spec["max_executions"] != 3.0 ||
+		spec["max_events"] != 40.0 || spec["memory_budget"] != 1099511627776.0 ||
+		spec["workers"] != 2.0 || spec["symmetry"] != true || spec["timeout_ms"] != 60000.0 {
+		t.Errorf("spec file values changed: %v", spec)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "job-*")); len(left) != 0 {
+		t.Errorf("finished jobs left files behind: %q", left)
+	}
+
+	// A checkpoint, written straight through the store.
 	var cp *core.Checkpoint
 	_, err = core.Explore(mustTest(t, "IRIW"), core.Options{
 		Model: memmodel.TSO{},
@@ -176,39 +184,20 @@ func TestWireJournalRecordKeys(t *testing.T) {
 		t.Fatalf("checkpointed run: err %v, checkpoint %v", err, cp != nil)
 	}
 	dir2 := t.TempDir()
-	j, _, err := openJournal(dir2, 0)
+	st, _, _, err := openStore(dir2, journalHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !j.checkpoint("job-000009", cp) {
-		t.Fatal("checkpoint not journaled")
+	st.submit("job-000009", JobSpec{Test: "IRIW", Spec: backend.Spec{Model: "tso"}})
+	if !st.checkpoint("job-000009", cp) {
+		t.Fatal("checkpoint not stored")
 	}
-	j.done("job-000009", StateDone)
-	j.close()
-
-	want := map[string][]string{
-		jrecSubmit: {"id", "max_events", "max_executions", "memory_budget", "model", "schema",
-			"symmetry", "test", "timeout_ms", "type", "workers"},
-		jrecCheckpoint: {"checkpoint", "id", "schema", "type"},
-		jrecDone:       {"id", "schema", "state", "type"},
+	encoded, err := cp.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen := map[string]bool{}
-	for _, rec := range append(journalLines(t, dir), journalLines(t, dir2)...) {
-		typ, _ := rec["type"].(string)
-		if got := sortedKeys(rec); !reflect.DeepEqual(got, want[typ]) {
-			t.Errorf("%s record keys = %v, want %v", typ, got, want[typ])
-		}
-		seen[typ] = true
-		if typ == jrecSubmit && (rec["test"] != "SB" || rec["model"] != "tso" || rec["max_executions"] != 3.0 ||
-			rec["max_events"] != 40.0 || rec["memory_budget"] != 1099511627776.0 ||
-			rec["workers"] != 2.0 || rec["symmetry"] != true || rec["timeout_ms"] != 60000.0) {
-			t.Errorf("submit record values changed: %v", rec)
-		}
-	}
-	for _, typ := range []string{jrecSubmit, jrecCheckpoint, jrecDone} {
-		if !seen[typ] {
-			t.Errorf("no %s record written", typ)
-		}
+	if got, err := os.ReadFile(filepath.Join(dir2, "job-000009.ckpt")); err != nil || !bytes.Equal(got, encoded) {
+		t.Fatalf("stored checkpoint differs from Checkpoint.Encode (err %v)", err)
 	}
 }
 

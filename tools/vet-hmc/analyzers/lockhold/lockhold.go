@@ -2,7 +2,7 @@
 // internal/service, which sits on the daemon's hot control paths: a lock
 // held across a channel operation, an HTTP round-trip or an fsync turns
 // one slow backend or one slow disk into a stalled job queue (every other goroutine piles up on the mutex), and
-// under the journal's degraded mode it can deadlock the very path meant
+// under the job store's degraded mode it can deadlock the very path meant
 // to keep the daemon live. The service's own style already follows the
 // rule — snapshot under the lock, do I/O outside — and this analyzer
 // keeps refactors from eroding it.
@@ -15,8 +15,7 @@
 //   - channel sends, receives, and selects without a default case;
 //   - (*http.Client).Do and the net/http package-level request helpers;
 //   - (*os.File).Sync — fsync under a lock serializes the world on the
-//     disk (the journal's single-writer fsync is the sanctioned
-//     exception, annotated in place);
+//     disk;
 //   - time.Sleep, (*sync.WaitGroup).Wait, net dials, os/exec waits.
 //
 // Function literals are not descended into: a goroutine or callback body
