@@ -60,6 +60,8 @@
 //
 // SIGINT/SIGTERM drains gracefully: the listener stops, queued and
 // running jobs get the drain grace period to finish, then are cancelled.
+// With -journal they stay stored (a running one with its final
+// checkpoint), and the next start runs or resumes them.
 package main
 
 import (

@@ -813,7 +813,7 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 				// of u, which deletes and re-derives the affected suffix.
 				pre := g2.Clone()
 				g2.SetRF(u, id)
-				if !interp.RepairAll(e.p, g2, e.opts.MaxSteps) {
+				if !interp.RepairAll(e.p, g2, u, e.opts.MaxSteps) {
 					e.revisit(pre, id, u)
 					continue
 				}

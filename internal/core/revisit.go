@@ -50,9 +50,10 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 //     edges repair cannot rewrite (closesCoherenceCycle): coherence rejects
 //     such a graph under every model, so it is discarded before Restrict
 //     and RepairAll;
-//  1. re-replaying every thread against the rebound graph *repairs* it:
-//     kept events whose data depends on r get their written values (and
-//     CAS success/failure) patched, and no event diverges structurally.
+//  1. replaying the rebound graph *repairs* it (RepairAll, from r's
+//     thread on to every thread whose reads a patch changed): kept events
+//     whose data depends on r get their written values (and CAS
+//     success/failure) patched, and no event diverges structurally.
 //     This is the HMC dependency condition: independent po-successors of
 //     r survive, which is what makes po∪rf-cyclic — load-buffering —
 //     executions reachable under hardware memory models;
@@ -164,7 +165,7 @@ func rebindRepaired(p *prog.Program, g *eg.Graph, keep []int, w, r eg.EvID, maxS
 		g2.CoRemove(loc, r)
 		g2.CoInsert(loc, g2.CoIndex(loc, w)+1, r)
 	}
-	return g2, interp.RepairAll(p, g2, maxSteps)
+	return g2, interp.RepairAll(p, g2, r, maxSteps)
 }
 
 // cycleScratch is the pooled working memory of closesCoherenceCycle, which

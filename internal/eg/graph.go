@@ -230,14 +230,22 @@ func (g *Graph) HasReaders(w EvID) bool {
 // order.
 func (g *Graph) ReadersOf(w EvID) []EvID {
 	var out []EvID
-	for t, slots := range g.rf {
-		for i, src := range slots {
-			if src == w {
-				out = append(out, EvID{T: t, I: i})
+	g.ForEachReader(w, func(r EvID) { out = append(out, r) })
+	return out
+}
+
+// ForEachReader calls fn on every read whose rf source is w, in (thread,
+// index) order, without allocating. fn may rebind the read it is given
+// (SetRF on it): the scan reads the rf slots afresh at every step, so it
+// sees a slot slice that the rebind copied.
+func (g *Graph) ForEachReader(w EvID, fn func(r EvID)) {
+	for t := range g.rf {
+		for i := 0; i < len(g.rf[t]); i++ {
+			if g.rf[t][i] == w {
+				fn(EvID{T: t, I: i})
 			}
 		}
 	}
-	return out
 }
 
 // RF returns the write that read r reads from.

@@ -25,11 +25,27 @@
 //     which causes the explorer to abandon the revisit. Keeping repair
 //     value-only is what makes exploration constructive: values can never
 //     appear out of thin air.
+//
+// RepairAll drives Repair to a fixpoint in dirty-thread passes. It starts
+// from the one rebound read, whose thread is the only one that can replay
+// differently: every other thread replays unchanged, because the graph
+// was repaired before the rebind and nothing it reads has moved. A patch
+// to a write makes the threads of its readers dirty, and each pass
+// replays only the dirty threads. A clean thread's replay would be a
+// no-op, so the patches, the verdict and the non-convergence rejections
+// are those of re-replaying every thread in every pass.
+//
+// Replay takes its register file, taint table and taint sets from a pool,
+// so a replay that consumes events allocates nothing; only the dependency
+// sets of the action Next returns (which become an event's) are fresh
+// memory. Actions carry no registers: FinalState copies a finished
+// thread's register file itself.
 package interp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"hmc/internal/eg"
 	"hmc/internal/prog"
@@ -98,10 +114,6 @@ type Action struct {
 	// CheckDeps sanitizer matches dynamic taints against the static
 	// dependency sets computed for this instruction).
 	PC int
-
-	// Regs is the thread's register file at this point (final values when
-	// Kind == ActDone).
-	Regs []int64
 }
 
 // MakeEvent materializes the event this action adds at id, given the value
@@ -151,7 +163,9 @@ const DefaultMaxSteps = 4096
 // verification of looping programs bounded but sound for the explored
 // prefix.
 func Next(p *prog.Program, g *eg.Graph, t int, maxSteps int) Action {
-	a, _, ok := replay(p, g, t, maxSteps, false)
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	a, _, ok := s.replay(p, g, t, maxSteps, false, nil)
 	if !ok {
 		panic("interp: unreachable: strict replay reported divergence")
 	}
@@ -162,18 +176,94 @@ func Next(p *prog.Program, g *eg.Graph, t int, maxSteps int) Action {
 // left behind by a revisit. It returns whether anything was patched and
 // whether the thread replays to a structurally identical event sequence.
 func Repair(p *prog.Program, g *eg.Graph, t int, maxSteps int) (changed, ok bool) {
-	_, changed, ok = replay(p, g, t, maxSteps, true)
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	_, changed, ok = s.replay(p, g, t, maxSteps, true, nil)
 	return changed, ok
 }
 
-// replay is the single interpreter loop behind Next and Repair.
-func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act Action, changed, ok bool) {
+// scratch is the pooled working memory of replay: the register file, the
+// per-register taint sets and the arena those sets live in, plus
+// RepairAll's dirty-thread set. A taint set is written once and then only
+// read, so registers share sets freely; the arena is reset per replay,
+// which is why nothing that escapes into an Action may alias it.
+type scratch struct {
+	regs   []int64
+	taints [][]eg.EvID
+	ids    []eg.EvID
+	dirty  []bool
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledIDs bounds the arena a scratch keeps in the pool: a looping
+// thread's control set grows with every iteration, and one long replay
+// must not pin its arena for good.
+const maxPooledIDs = 1 << 12
+
+// release returns s to the pool.
+func (s *scratch) release() {
+	if cap(s.ids) > maxPooledIDs {
+		s.ids = nil
+		clear(s.taints[:cap(s.taints)])
+	}
+	scratchPool.Put(s)
+}
+
+// reset readies the scratch for a replay of a thread with n registers.
+func (s *scratch) reset(n int) {
+	if cap(s.regs) < n {
+		s.regs = make([]int64, n)
+		s.taints = make([][]eg.EvID, n)
+	}
+	s.regs = s.regs[:n]
+	s.taints = s.taints[:n]
+	clear(s.regs)
+	clear(s.taints)
+	s.ids = s.ids[:0]
+}
+
+// single returns the one-element taint set {id}, allocated in the arena.
+func (s *scratch) single(id eg.EvID) []eg.EvID {
+	n := len(s.ids)
+	s.ids = append(s.ids, id)
+	return s.ids[n : n+1 : n+1]
+}
+
+// union returns the union of the taint sets a and b, allocated in the
+// arena unless it equals one of them (a branch re-testing the registers
+// already in the control set adds nothing).
+func (s *scratch) union(a, b []eg.EvID) []eg.EvID {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 {
+		return b
+	}
+	n := len(s.ids)
+	s.ids = unionIDs(s.ids, a, b)
+	switch len(s.ids) - n {
+	case len(a):
+		s.ids = s.ids[:n]
+		return a
+	case len(b):
+		s.ids = s.ids[:n]
+		return b
+	}
+	return s.ids[n:len(s.ids):len(s.ids)]
+}
+
+// replay is the single interpreter loop behind Next and Repair. When dirty
+// is non-nil, every patch marks in it the threads of the patched write's
+// readers that this replay does not reach afterwards (RepairAll's next
+// replays).
+func (s *scratch) replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool, dirty []bool) (act Action, changed, ok bool) {
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
 	}
 	code := p.Threads[t]
-	regs := make([]int64, p.NumRegs[t])
-	taints := make([][]eg.EvID, p.NumRegs[t])
+	s.reset(p.NumRegs[t])
+	regs, taints := s.regs, s.taints
 	var ctrl []eg.EvID
 	consumed := 0
 	steps := 0
@@ -188,6 +278,15 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 		}
 		return Action{}, changed, false
 	}
+	// stop returns the action the thread stops at. Its dependency sets
+	// are the pooled scratch's, so Next gets copies; Repair discards the
+	// action and copies nothing.
+	stop := func(a Action) (Action, bool, bool) {
+		if !repair {
+			a.Addr, a.Data, a.Ctrl = cloneIDs(a.Addr), cloneIDs(a.Data), cloneIDs(a.Ctrl)
+		}
+		return a, changed, true
+	}
 	// leftover reports whether graph events remain unconsumed at a point
 	// where the thread stops executing — fine in strict mode only if the
 	// stop is an action the explorer sees; never fine during repair.
@@ -196,9 +295,24 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 	evalT := func(e *prog.Expr) (int64, []eg.EvID) {
 		var taint []eg.EvID
 		v := e.Eval(regs, func(r prog.Reg) {
-			taint = unionIDs(taint, taints[r])
+			taint = s.union(taint, taints[r])
 		})
 		return v, taint
+	}
+
+	// patched records a rewrite of write id: the threads of its readers
+	// replay again. A po-later read in this thread is not one of them:
+	// this replay reaches it and takes the new value. A read that is not
+	// po-later (an rf edge to a po-later write) has taken the old one.
+	patched := func(id eg.EvID) {
+		changed = true
+		if dirty != nil {
+			g.ForEachReader(id, func(r eg.EvID) {
+				if r.T != t || r.I <= id.I {
+					dirty[r.T] = true
+				}
+			})
+		}
 	}
 
 	// nextEvent returns the next graph event in place (see eg.Graph.At):
@@ -216,14 +330,14 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 			if repair && leftover() {
 				return diverge("step bound hit with %d events left", g.ThreadLen(t)-consumed)
 			}
-			return Action{Kind: ActBlocked, Msg: "step bound exceeded", Regs: regs}, changed, true
+			return stop(Action{Kind: ActBlocked, Msg: "step bound exceeded"})
 		}
 		steps++
 		if pc >= len(code) {
 			if leftover() {
 				return diverge("thread finished with %d events left", g.ThreadLen(t)-consumed)
 			}
-			return Action{Kind: ActDone, Regs: regs}, changed, true
+			return stop(Action{Kind: ActDone})
 		}
 		cur := pc // instruction index, for Action.PC
 		in := code[pc]
@@ -241,7 +355,7 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 				if repair && leftover() {
 					return diverge("%v", err)
 				}
-				return Action{Kind: ActError, Msg: err.Error(), Regs: regs}, changed, true
+				return stop(Action{Kind: ActError, Msg: err.Error()})
 			}
 			if ev, present := nextEvent(); present {
 				if ev.Kind != eg.KRead || ev.Loc != loc || ev.Mode != in.Mode {
@@ -255,11 +369,11 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 					return diverge("read %v has no rf", ev.ID)
 				}
 				regs[in.Dst] = v
-				taints[in.Dst] = []eg.EvID{ev.ID}
+				taints[in.Dst] = s.single(ev.ID)
 				consumed++
 				continue
 			}
-			return Action{Kind: ActLoad, Loc: loc, Mode: in.Mode, Addr: at, Ctrl: cloneIDs(ctrl), Regs: regs, PC: cur}, changed, true
+			return stop(Action{Kind: ActLoad, Loc: loc, Mode: in.Mode, Addr: at, Ctrl: ctrl, PC: cur})
 
 		case prog.IStore:
 			av, at := evalT(in.Addr)
@@ -269,7 +383,7 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 				if repair && leftover() {
 					return diverge("%v", err)
 				}
-				return Action{Kind: ActError, Msg: err.Error(), Regs: regs}, changed, true
+				return stop(Action{Kind: ActError, Msg: err.Error()})
 			}
 			if ev, present := nextEvent(); present {
 				if ev.Kind != eg.KWrite || ev.Loc != loc {
@@ -282,13 +396,14 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 					if !repair {
 						return diverge("graph W x%d=%d, program writes %d", ev.Loc, ev.Val, vv)
 					}
-					g.SetEventVal(ev.ID, vv) // ev is stale from here on
-					changed = true
+					id := ev.ID
+					g.SetEventVal(id, vv) // ev is stale from here on
+					patched(id)
 				}
 				consumed++
 				continue
 			}
-			return Action{Kind: ActStore, Loc: loc, Val: vv, Mode: in.Mode, Addr: at, Data: vt, Ctrl: cloneIDs(ctrl), Regs: regs, PC: cur}, changed, true
+			return stop(Action{Kind: ActStore, Loc: loc, Val: vv, Mode: in.Mode, Addr: at, Data: vt, Ctrl: ctrl, PC: cur})
 
 		case prog.ICAS, prog.IFAdd, prog.IXchg:
 			av, at := evalT(in.Addr)
@@ -297,14 +412,14 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 				if repair && leftover() {
 					return diverge("%v", err)
 				}
-				return Action{Kind: ActError, Msg: err.Error(), Regs: regs}, changed, true
+				return stop(Action{Kind: ActError, Msg: err.Error()})
 			}
 			var a Action
 			switch in.Op {
 			case prog.ICAS:
 				ov, ot := evalT(in.Old)
 				nv, nt := evalT(in.New)
-				a = Action{Kind: ActCAS, Loc: loc, Old: ov, New: nv, Mode: in.Mode, Data: unionIDs(ot, nt)}
+				a = Action{Kind: ActCAS, Loc: loc, Old: ov, New: nv, Mode: in.Mode, Data: s.union(ot, nt)}
 			case prog.IFAdd:
 				dv, dt := evalT(in.Val)
 				a = Action{Kind: ActFAdd, Loc: loc, Val: dv, Mode: in.Mode, Data: dt}
@@ -337,6 +452,7 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 						return diverge("CAS %v kind %v, want %v for read value %d", id, kind, wantKind, readVal)
 					}
 					src, _ := g.RF(id)
+					patched(id)
 					if wantKind == eg.KUpdate {
 						g.SetEventKind(id, eg.KUpdate)
 						g.SetEventVal(id, wantVal)
@@ -346,35 +462,32 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 						// write inherit its rf source: they were coherence-
 						// adjacent through it, and dropping the update from
 						// co splices them onto that source. Their values are
-						// repaired on subsequent passes.
-						for _, rd := range g.ReadersOf(id) {
-							g.SetRF(rd, src)
-						}
+						// repaired on subsequent passes: patched has marked
+						// their threads.
+						g.ForEachReader(id, func(rd eg.EvID) { g.SetRF(rd, src) })
 						g.CoRemove(loc, id)
 						g.SetEventKind(id, eg.KRead)
 					}
-					changed = true
 				} else if wantKind == eg.KUpdate && val != wantVal {
 					if !repair {
 						return diverge("graph U x%d=%d, program writes %d", loc, val, wantVal)
 					}
 					g.SetEventVal(id, wantVal)
-					changed = true
+					patched(id)
 				}
 				regs[in.Dst] = readVal
-				taints[in.Dst] = []eg.EvID{id}
+				taints[in.Dst] = s.single(id)
 				if in.Op == prog.ICAS && in.Succ >= 0 {
 					regs[in.Succ] = b2i(wantKind == eg.KUpdate)
-					taints[in.Succ] = []eg.EvID{id}
+					taints[in.Succ] = taints[in.Dst]
 				}
 				consumed++
 				continue
 			}
 			a.Addr = at
-			a.Ctrl = cloneIDs(ctrl)
-			a.Regs = regs
+			a.Ctrl = ctrl
 			a.PC = cur
-			return a, changed, true
+			return stop(a)
 
 		case prog.IFence:
 			if ev, present := nextEvent(); present {
@@ -384,11 +497,11 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 				consumed++
 				continue
 			}
-			return Action{Kind: ActFence, Fence: in.Fence, Ctrl: cloneIDs(ctrl), Regs: regs, PC: cur}, changed, true
+			return stop(Action{Kind: ActFence, Fence: in.Fence, Ctrl: ctrl, PC: cur})
 
 		case prog.IBranch:
 			v, taint := evalT(in.Cond)
-			ctrl = unionIDs(ctrl, taint)
+			ctrl = s.union(ctrl, taint)
 			if v != 0 {
 				pc = in.Target
 			}
@@ -398,12 +511,12 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 
 		case prog.IAssume:
 			v, taint := evalT(in.Cond)
-			ctrl = unionIDs(ctrl, taint)
+			ctrl = s.union(ctrl, taint)
 			if v == 0 {
 				if repair && leftover() {
 					return diverge("assume failed with %d events left", g.ThreadLen(t)-consumed)
 				}
-				return Action{Kind: ActBlocked, Msg: "assume failed", Regs: regs}, changed, true
+				return stop(Action{Kind: ActBlocked, Msg: "assume failed"})
 			}
 
 		case prog.IAssert:
@@ -416,7 +529,7 @@ func replay(p *prog.Program, g *eg.Graph, t int, maxSteps int, repair bool) (act
 				if repair && leftover() {
 					return diverge("assertion failed with %d events left", g.ThreadLen(t)-consumed)
 				}
-				return Action{Kind: ActError, Msg: msg, Regs: regs}, changed, true
+				return stop(Action{Kind: ActError, Msg: msg})
 			}
 
 		default:
@@ -442,23 +555,50 @@ func rmwOutcome(a Action, readVal int64) (eg.Kind, int64) {
 	panic("interp: rmwOutcome on non-rmw action")
 }
 
-// RepairAll re-replays every thread until values stabilise. It returns
-// false if any thread diverges structurally or the propagation fails to
-// converge (a genuine value cycle — out-of-thin-air — which constructive
+// RepairAll repairs g after the read seed was rebound, replaying threads
+// until values stabilise. It returns false if a thread diverges
+// structurally or the propagation fails to converge within NumEvents()+2
+// passes (a genuine value cycle — out-of-thin-air — which constructive
 // exploration rejects).
-func RepairAll(p *prog.Program, g *eg.Graph, maxSteps int) bool {
+//
+// Precondition: every thread but seed's replays unchanged, as it does in a
+// graph that was repaired before seed was rebound (and then restricted to
+// an rf-closed cut). The first pass replays seed's thread only; a patch
+// marks the threads of the patched write's readers dirty, and each pass
+// replays the dirty threads in ascending order — a thread marked after it
+// has had its turn waits for the next pass. That is the order a sweep over
+// every thread would replay them in, and the threads it skips are those
+// whose replay changes nothing, so the patches and the verdict are the
+// sweep's, pass limit included.
+func RepairAll(p *prog.Program, g *eg.Graph, seed eg.EvID, maxSteps int) bool {
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	n := len(p.Threads)
+	if cap(s.dirty) < n {
+		s.dirty = make([]bool, n)
+	}
+	dirty := s.dirty[:n]
+	clear(dirty)
+	dirty[seed.T] = true
 	limit := g.NumEvents() + 2
 	for pass := 0; pass < limit; pass++ {
 		anyChange := false
-		for t := range p.Threads {
-			changed, ok := Repair(p, g, t, maxSteps)
+		for t := range dirty {
+			if !dirty[t] {
+				continue
+			}
+			dirty[t] = false
+			_, changed, ok := s.replay(p, g, t, maxSteps, true, dirty)
 			if !ok {
 				return false
 			}
 			anyChange = anyChange || changed
 		}
-		if !anyChange {
-			return true
+		if !slices.Contains(dirty, true) {
+			// Every thread is clean. The sweep stops here, or, when this
+			// pass patched, after one more pass that changes nothing —
+			// which must still fit within the limit.
+			return !anyChange || pass+1 < limit
 		}
 	}
 	return false
@@ -496,8 +636,8 @@ func equalIDs(a, b []eg.EvID) bool {
 	return true
 }
 
-// cloneIDs returns a copy of ids (actions must not alias the interpreter's
-// evolving ctrl set).
+// cloneIDs returns a copy of ids (actions must not alias the replay's
+// pooled taint arena).
 func cloneIDs(ids []eg.EvID) []eg.EvID {
 	if len(ids) == 0 {
 		return nil
@@ -505,26 +645,26 @@ func cloneIDs(ids []eg.EvID) []eg.EvID {
 	return append([]eg.EvID(nil), ids...)
 }
 
-// unionIDs returns the sorted union of two EvID sets.
-func unionIDs(a, b []eg.EvID) []eg.EvID {
-	if len(b) == 0 {
-		return a
-	}
-	out := append(cloneIDs(a), b...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].T != out[j].T {
-			return out[i].T < out[j].T
+// unionIDs appends to dst the union of the sets a and b, each sorted by
+// (thread, index) without duplicates, by a linear merge.
+func unionIDs(dst, a, b []eg.EvID) []eg.EvID {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch x, y := a[i], b[j]; {
+		case x == y:
+			dst = append(dst, x)
+			i++
+			j++
+		case x.T < y.T || x.T == y.T && x.I < y.I:
+			dst = append(dst, x)
+			i++
+		default:
+			dst = append(dst, y)
+			j++
 		}
-		return out[i].I < out[j].I
-	})
-	k := 0
-	for i, id := range out {
-		if i == 0 || id != out[k-1] {
-			out[k] = id
-			k++
-		}
 	}
-	return out[:k]
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // FinalState assembles the observable final state of a complete execution:
@@ -538,12 +678,13 @@ func FinalState(p *prog.Program, g *eg.Graph, maxSteps int) prog.FinalState {
 	for l := 0; l < p.NumLocs; l++ {
 		fs.Mem[l] = g.ValueOf(g.CoMax(eg.Loc(l)))
 	}
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
 	for t := range p.Threads {
-		a := Next(p, g, t, maxSteps)
-		if a.Kind != ActDone {
+		if a, _, _ := s.replay(p, g, t, maxSteps, false, nil); a.Kind != ActDone {
 			panic(fmt.Sprintf("interp: FinalState on incomplete execution (thread %d is %v)", t, a.Kind))
 		}
-		fs.Regs[t] = a.Regs
+		fs.Regs[t] = slices.Clone(s.regs)
 	}
 	return fs
 }

@@ -92,8 +92,8 @@ func TestLoadObservesRfValue(t *testing.T) {
 	if a.Kind != ActDone {
 		t.Fatalf("reader not done: %+v", a)
 	}
-	if a.Regs[0] != 1 || a.Regs[1] != 0 {
-		t.Fatalf("final regs = %v, want [1 0]", a.Regs)
+	if regs := FinalState(p, g, 0).Regs[1]; regs[0] != 1 || regs[1] != 0 {
+		t.Fatalf("final regs = %v, want [1 0]", regs)
 	}
 }
 
@@ -377,12 +377,21 @@ func TestFinalState(t *testing.T) {
 func TestUnionIDs(t *testing.T) {
 	a := []eg.EvID{{T: 0, I: 1}, {T: 0, I: 3}}
 	b := []eg.EvID{{T: 0, I: 0}, {T: 0, I: 3}}
-	u := unionIDs(a, b)
+	u := unionIDs(nil, a, b)
 	want := []eg.EvID{{T: 0, I: 0}, {T: 0, I: 1}, {T: 0, I: 3}}
 	if !reflect.DeepEqual(u, want) {
 		t.Fatalf("unionIDs = %v, want %v", u, want)
 	}
-	if got := unionIDs(nil, nil); len(got) != 0 {
+	if got := unionIDs(nil, nil, nil); len(got) != 0 {
 		t.Fatalf("empty union = %v", got)
+	}
+	// The merge orders by thread first and appends after what dst holds.
+	dst := []eg.EvID{{T: 9, I: 9}}
+	c := []eg.EvID{{T: 0, I: 5}, {T: 2, I: 0}}
+	d := []eg.EvID{{T: 1, I: 0}, {T: 2, I: 0}, {T: 2, I: 1}}
+	got := unionIDs(dst, c, d)
+	want = []eg.EvID{{T: 9, I: 9}, {T: 0, I: 5}, {T: 1, I: 0}, {T: 2, I: 0}, {T: 2, I: 1}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("unionIDs onto dst = %v, want %v", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -224,13 +225,7 @@ func TestServiceResumesAfterKill(t *testing.T) {
 
 	// Wait for at least two checkpoints to hit the store, then "kill"
 	// the process: the job files freeze on disk mid-job.
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Metrics().JournalCheckpoints.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint journaled before deadline")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitCheckpoints(t, s, 2)
 	saved := s.Metrics().JournalCheckpoints.Load()
 	s.store.kill() // the files freeze on disk, as if the process had been SIGKILLed
 	s.Cancel(v.ID) // stop burning CPU; the files are not removed (dead store)
@@ -241,12 +236,7 @@ func TestServiceResumesAfterKill(t *testing.T) {
 	// Restart on the same directory.
 	s2 := mustNew(t, cfg)
 	defer s2.Shutdown(context.Background())
-	for !s2.Ready() {
-		if time.Now().After(deadline) {
-			t.Fatal("restarted service never became ready")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitReady(t, s2)
 	if got := s2.Metrics().JournalReplayedJobs.Load(); got != 1 {
 		t.Fatalf("JournalReplayedJobs = %d, want 1", got)
 	}
@@ -255,15 +245,54 @@ func TestServiceResumesAfterKill(t *testing.T) {
 			got, saved)
 	}
 
-	done := waitState(t, s2, v.ID)
+	checkResumedStraight(t, s2, v.ID)
+
+	// The finished job is retired: a third start has nothing to replay.
+	if err := s2.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s3 := mustNew(t, cfg)
+	defer s3.Shutdown(context.Background())
+	if got := s3.Metrics().JournalReplayedJobs.Load(); got != 0 {
+		t.Fatalf("third start replayed %d jobs, want 0", got)
+	}
+}
+
+// waitCheckpoints waits until the store has written n checkpoints.
+func waitCheckpoints(t *testing.T, s *Service, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Metrics().JournalCheckpoints.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatal("no checkpoint journaled before deadline")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// waitReady waits until a restarted service has re-enqueued its stored jobs.
+func waitReady(t *testing.T, s *Service) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !s.Ready() {
+		if time.Now().After(deadline) {
+			t.Fatal("restarted service never became ready")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// checkResumedStraight waits for the replayed manyExecsSource job id and
+// checks that it finished resumed, with exactly the straight run's verdict.
+func checkResumedStraight(t *testing.T, s *Service, id string) {
+	t.Helper()
+	done := waitState(t, s, id)
 	if done.State != StateDone {
 		t.Fatalf("replayed job finished %s (%s), want done", done.State, done.Err)
 	}
 	if !done.Resumed {
 		t.Fatal("replayed job not marked Resumed")
 	}
-
-	// The resumed verdict must be exactly the straight run's.
 	p, err := litmus.Parse(manyExecsSource)
 	if err != nil {
 		t.Fatal(err)
@@ -287,15 +316,60 @@ func TestServiceResumesAfterKill(t *testing.T) {
 			r.Executions, r.ExistsCount, r.Blocked, r.Truncated, r.TruncatedReason,
 			straight.Executions, straight.ExistsCount, straight.Blocked, straight.Truncated, straight.TruncatedReason)
 	}
+}
 
-	// The finished job is retired: a third start has nothing to replay.
-	if err := s2.Shutdown(context.Background()); err != nil {
+// TestShutdownKeepsRunningJob: when Shutdown's grace runs out mid-run, the
+// running job is cancelled but not retired. It keeps its spec and the
+// run's final checkpoint, and the next start resumes it to the straight
+// run's verdict.
+func TestShutdownKeepsRunningJob(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, JournalDir: dir, CheckpointEveryExecs: 100}
+	s := mustNew(t, cfg)
+	v := submitSource(t, s, manyExecsSource, "sc", 0)
+	waitCheckpoints(t, s, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want the grace to expire mid-run", err)
+	}
+	if got, _ := s.Get(v.ID); got.State != StateCanceled || got.Result == nil || !got.Result.Interrupted {
+		t.Fatalf("job after Shutdown: state %s, result %+v; want canceled with an interrupted result", got.State, got.Result)
+	}
+
+	s2 := mustNew(t, cfg)
+	defer s2.Shutdown(context.Background())
+	waitReady(t, s2)
+	if got := s2.Metrics().JournalReplayedJobs.Load(); got != 1 {
+		t.Fatalf("JournalReplayedJobs = %d, want 1", got)
+	}
+	checkResumedStraight(t, s2, v.ID)
+}
+
+// TestJobIDsNotReusedAfterRestart: a restart continues the id sequence
+// past the finished jobs', not only past the live ones', so a client
+// polling an old id never sees a different job.
+func TestJobIDsNotReusedAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, JournalDir: dir}
+	s := mustNew(t, cfg)
+	for i := 1; i <= 3; i++ {
+		v := submitSource(t, s, manyExecsSource, "sc", i) // distinct caps: no cache hits
+		if want := fmt.Sprintf("job-%06d", i); v.ID != want {
+			t.Fatalf("submission %d got %s, want %s", i, v.ID, want)
+		}
+		if done := waitState(t, s, v.ID); done.State != StateDone {
+			t.Fatalf("%s finished %s (%s)", v.ID, done.State, done.Err)
+		}
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	s3 := mustNew(t, cfg)
-	defer s3.Shutdown(context.Background())
-	if got := s3.Metrics().JournalReplayedJobs.Load(); got != 0 {
-		t.Fatalf("third start replayed %d jobs, want 0", got)
+
+	s2 := mustNew(t, cfg)
+	defer s2.Shutdown(context.Background())
+	if v := submitSource(t, s2, manyExecsSource, "sc", 4); v.ID != "job-000004" {
+		t.Fatalf("first id after restart = %s, want job-000004", v.ID)
 	}
 }
 

@@ -251,6 +251,7 @@ type Job struct {
 
 	cancel     context.CancelFunc // non-nil only while running
 	userCancel bool               // Cancel() was called
+	shutdown   bool               // Shutdown's grace expired mid-run: the job stays stored
 	resumeFrom *core.Checkpoint   // stored checkpoint to resume from
 	resumed    bool               // this job continued a pre-restart exploration
 
@@ -422,8 +423,11 @@ func newService(cfg Config, hooks journalHooks) (*Service, error) {
 		}
 		s.store = st
 		s.metrics.JournalSkippedRecords.Add(int64(stats.skipped + stats.wrongSchema))
-		if len(jobs) > 0 { // continue the id sequence
-			fmt.Sscanf(jobs[len(jobs)-1].ID, "job-%d", &s.nextID) //nolint:errcheck // 0 on a foreign id
+		// Continue the id sequence past every id handed out before, not
+		// only past the live jobs'.
+		s.nextID = st.lastID
+		if len(jobs) > 0 {
+			s.nextID = max(s.nextID, idNumber(jobs[len(jobs)-1].ID))
 		}
 		if cfg.CacheSize > 0 {
 			s.metrics.VerdictsReloaded.Add(int64(loadVerdicts(cfg.JournalDir, s.cache)))
@@ -647,6 +651,9 @@ func (s *Service) Submit(req SubmitRequest) (JobView, error) {
 		s.recordFinishedLocked(j)
 		view := j.view()
 		s.mu.Unlock()
+		if s.store != nil {
+			s.store.issue(j.id)
+		}
 		return view, nil
 	}
 	s.metrics.CacheMisses.Add(1)
@@ -663,6 +670,7 @@ func (s *Service) Submit(req SubmitRequest) (JobView, error) {
 	// Store the accepted job before answering (the fsync is the
 	// durability point), outside s.mu so disk latency never blocks polls.
 	if s.store != nil {
+		s.store.issue(j.id)
 		s.store.submit(j.id, req.JobSpec)
 	}
 	return view, nil
@@ -794,9 +802,9 @@ func (s *Service) runJob(j *Job) {
 		s.mu.Lock()
 		j.cancel = cancel
 		j.attempts = attempt
-		userCancel := j.userCancel
+		stop := j.userCancel || j.shutdown
 		s.mu.Unlock()
-		if userCancel {
+		if stop {
 			cancel()
 		}
 
@@ -807,7 +815,7 @@ func (s *Service) runJob(j *Job) {
 
 		s.mu.Lock()
 		j.cancel = nil
-		userCancel = j.userCancel
+		stop = j.userCancel || j.shutdown
 		s.mu.Unlock()
 		if errors.Is(err, core.ErrCheckpointMismatch) && j.resumeFrom != nil {
 			// The stored checkpoint no longer matches this program,
@@ -821,7 +829,7 @@ func (s *Service) runJob(j *Job) {
 			attempt--
 			continue
 		}
-		if err != nil || userCancel || attempt >= s.cfg.MaxAttempts ||
+		if err != nil || stop || attempt >= s.cfg.MaxAttempts ||
 			res.TruncatedReason != core.TruncMemoryBudget {
 			break
 		}
@@ -865,7 +873,7 @@ func (s *Service) runJob(j *Job) {
 		}
 	}
 
-	cached := false
+	cached, keep := false, false
 	s.mu.Lock()
 	j.finished = time.Now()
 	j.engineErr = ee
@@ -895,6 +903,14 @@ func (s *Service) runJob(j *Job) {
 		j.result = res
 		s.metrics.JobsCanceled.Add(1)
 		s.metrics.addStats(&res.Stats)
+	case j.shutdown && res.Interrupted:
+		// Shutdown cut the run short, not the client: the job stays
+		// stored and the next start resumes it.
+		j.state = StateCanceled
+		j.result = res
+		s.metrics.JobsCanceled.Add(1)
+		s.metrics.addStats(&res.Stats)
+		keep = true
 	default:
 		j.state = StateDone
 		j.result = res
@@ -917,9 +933,14 @@ func (s *Service) runJob(j *Job) {
 	s.recordFinishedLocked(j)
 	s.mu.Unlock()
 
-	// Durability tail, outside s.mu: retire the job's files and persist
+	// Durability tail, outside s.mu: retire the job's files — or, for a
+	// job Shutdown stopped, store the run's final checkpoint — and persist
 	// the verdict cache when it gained an entry.
-	s.retire(j)
+	if !keep {
+		s.retire(j)
+	} else if s.store != nil && res.Checkpoint != nil && s.store.checkpoint(j.id, res.Checkpoint) {
+		s.metrics.JournalCheckpoints.Add(1)
+	}
 	if cached {
 		s.persistVerdicts()
 	}
@@ -1018,9 +1039,11 @@ func (s *Service) recordFinishedLocked(j *Job) {
 
 // Shutdown stops accepting jobs, waits for the queue to drain and the
 // workers to finish, then flushes the verdict cache. If ctx expires
-// first, every queued and running job is cancelled (their partial results
-// remain pollable; a queued job's files stay, so the next start runs it)
-// and Shutdown returns ctx.Err after the workers exit.
+// first, every queued and running job is cancelled and Shutdown returns
+// ctx.Err after the workers exit. Their partial results remain pollable
+// and their stored files stay: a queued job's spec, and a running job's
+// spec with the run's final checkpoint, so the next start runs the one
+// and resumes the other.
 func (s *Service) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	first := !s.draining
@@ -1055,9 +1078,11 @@ func (s *Service) Shutdown(ctx context.Context) error {
 					j.finished = time.Now()
 					s.metrics.JobsCanceled.Add(1)
 					s.recordFinishedLocked(j)
-				} else if j.cancel != nil {
-					j.userCancel = true
-					j.cancel()
+				} else if j.state == StateRunning {
+					j.shutdown = true
+					if j.cancel != nil {
+						j.cancel()
+					}
 				}
 			}
 			s.mu.Unlock()

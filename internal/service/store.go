@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -25,12 +26,15 @@ import (
 // each resuming from its checkpoint. Spec files that do not decode or come
 // from another engine schema, a .ckpt without its spec and temp files of
 // interrupted writes are counted and removed. Legacy write-ahead journals
-// (journal-*.jsonl) are imported into job files once and removed.
+// (journal-*.jsonl) are imported into job files once and removed. The
+// file last-id holds the largest job id number ever handed out, so a
+// restart never hands out the id of a finished job again.
 
 const (
-	specExt   = ".json"
-	ckptExt   = ".ckpt"
-	tmpSuffix = ".tmp"
+	specExt    = ".json"
+	ckptExt    = ".ckpt"
+	tmpSuffix  = ".tmp"
+	lastIDFile = "last-id"
 )
 
 // jobFile is the content of a spec file: the legacy journal's submit
@@ -82,9 +86,10 @@ type jobStore struct {
 	// is on disk (a failed write is retried by the next checkpoint), then
 	// to nil. early holds jobs retired before their submit was stored (a
 	// fast job can finish first), whose spec must then never be written.
-	live  map[string][]byte
-	early map[string]bool
-	dead  bool // test hook: the process "was killed", nothing more is written
+	live   map[string][]byte
+	early  map[string]bool
+	lastID int  // the id number last-id holds
+	dead   bool // test hook: the process "was killed", nothing more is written
 
 	degraded    bool   // a write failed and none has succeeded since
 	degradedWhy string // classification of the most recent failure
@@ -97,6 +102,11 @@ func openStore(dir string, hooks journalHooks) (*jobStore, []*storedJob, storeSt
 		return nil, nil, stats, err
 	}
 	st := &jobStore{dir: dir, hooks: hooks, live: map[string][]byte{}, early: map[string]bool{}}
+	if data, err := os.ReadFile(filepath.Join(dir, lastIDFile)); err == nil {
+		st.lastID, _ = strconv.Atoi(strings.TrimSpace(string(data))) // 0 if damaged: the live ids still count
+	} else if !os.IsNotExist(err) {
+		return nil, nil, stats, err
+	}
 	if err := st.importJournal(&stats); err != nil {
 		return nil, nil, stats, err
 	}
@@ -157,6 +167,24 @@ func openStore(dir string, hooks journalHooks) (*jobStore, []*storedJob, storeSt
 // idLess orders zero-padded job ids numerically, also past the padding.
 func idLess(a, b string) bool {
 	return len(a) < len(b) || len(a) == len(b) && a < b
+}
+
+// idNumber returns the sequence number of a job id (0 for a foreign id).
+func idNumber(id string) int {
+	n, _ := strconv.Atoi(strings.TrimPrefix(id, "job-"))
+	return n
+}
+
+// issue records that id was handed out, raising last-id durably when id
+// is past it. A failed write degrades the store like any other; the next
+// issue writes a larger id.
+func (st *jobStore) issue(id string) {
+	n := idNumber(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if n > st.lastID && st.writeLocked(lastIDFile, []byte(strconv.Itoa(n)+"\n")) {
+		st.lastID = n
+	}
 }
 
 // submit stores an accepted job's spec, unless the program cannot be
@@ -367,6 +395,7 @@ func (st *jobStore) importJournal(stats *storeStats) error {
 	}
 	sort.Strings(paths) // zero-padded names: lexical = sequence order
 	live := map[string]*storedJob{}
+	last := 0 // every journaled id was handed out, finished ones too
 	for _, path := range paths {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -374,9 +403,13 @@ func (st *jobStore) importJournal(stats *storeStats) error {
 		}
 		for _, line := range bytes.Split(data, []byte{'\n'}) {
 			var rec jrec
+			err := json.Unmarshal(line, &rec)
+			if err == nil && rec.Schema == core.SchemaVersion {
+				last = max(last, idNumber(rec.ID))
+			}
 			switch {
 			case len(line) == 0:
-			case json.Unmarshal(line, &rec) != nil:
+			case err != nil:
 				stats.skipped++
 			case rec.Schema != core.SchemaVersion:
 				stats.wrongSchema++
@@ -400,6 +433,12 @@ func (st *jobStore) importJournal(stats *storeStats) error {
 		if err != nil {
 			return err
 		}
+	}
+	if last > st.lastID {
+		if err := writeAtomic(filepath.Join(st.dir, lastIDFile), []byte(strconv.Itoa(last)+"\n"), st.hooks.Wrap); err != nil {
+			return err
+		}
+		st.lastID = last
 	}
 	for _, path := range paths {
 		if err := os.Remove(path); err != nil {
