@@ -664,8 +664,8 @@ func check(out io.Writer, p *prog.Program, spec backend.Spec, o *options, newCtx
 		fmt.Fprintln(out)
 	}
 	if o.stats {
-		fmt.Fprintf(out, "  states=%d memo-hits=%d consistency-checks=%d revisits=%d/%d (taken/tried) repair-fails=%d max-graph=%d\n",
-			res.States, res.MemoHits, res.ConsistencyChecks,
+		fmt.Fprintf(out, "  states=%d memo-hits=%d consistency-checks=%d sink-extensions=%d revisits=%d/%d (taken/tried) repair-fails=%d max-graph=%d\n",
+			res.States, res.MemoHits, res.ConsistencyChecks, res.SinkExtensions,
 			res.RevisitsTaken, res.RevisitsTried, res.RevisitsRepairFail, res.MaxGraphEvents)
 		if o.static {
 			fmt.Fprintf(out, "  static-pruned: rf=%d co=%d revisit-scans=%d\n",

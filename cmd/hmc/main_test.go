@@ -266,7 +266,8 @@ func TestRunStats(t *testing.T) {
 	if err := run([]string{"-model", "imm", "-test", "LB", "-stats"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "states=") || !strings.Contains(out.String(), "revisits=") {
+	if !strings.Contains(out.String(), "states=") || !strings.Contains(out.String(), "revisits=") ||
+		!strings.Contains(out.String(), "sink-extensions=") {
 		t.Errorf("stats not printed:\n%s", out.String())
 	}
 }

@@ -16,6 +16,14 @@
 //     prefix* of the write and the read, the read is re-bound to the new
 //     write, and exploration restarts from the restricted graph.
 //
+// Only some forward steps call the model. Every visited graph is
+// consistent, and a *sink* — a fence, a read of the co-maximal write (or
+// an update placed right after it, stealing no chain), a co-maximal
+// write — gains no outgoing edge, so extending a consistent graph by one
+// stays consistent (the extension contract on memmodel.Model). Such steps
+// are admitted unchecked and counted in Stats.SinkExtensions; other rf
+// and co candidates, chain steals and revisits keep the full check.
+//
 // The dependency prefix is where hardware models differ from RC11-style
 // models: events po-after the revisited read that do not syntactically
 // depend on it are *kept*, which is what makes load-buffering executions
@@ -240,9 +248,17 @@ type Stats struct {
 	// phase-2 taint pruning left to cure it.
 	RevisitsRepairFail int
 	RevisitsPorfSkip   int // skipped by the PorfOnlyRevisits ablation
-	ConsistencyChecks  int
-	StuckReads         int // reads with no consistent rf option (must stay 0)
-	MaxGraphEvents     int
+	ConsistencyChecks  int // calls to Options.Model.Consistent
+	// SinkExtensions counts forward extensions admitted without a model
+	// check because the new event is a sink: a fence, a read (or an update
+	// stealing no chain) of the co-maximal write, or a co-maximal write.
+	SinkExtensions int
+	// StuckReads counts reads with no consistent rf option. It is 0 by
+	// construction: the co-maximal rf source is a sink extension, admitted
+	// without a check. TestPropSinkExtensionsPassFullCheck is the referee
+	// that every model agrees.
+	StuckReads     int
+	MaxGraphEvents int
 	// Static-pruning counters (Options.StaticAnalysis): work skipped
 	// because the location footprint proved it fruitless.
 	StaticPrunedRf    int // non-co-maximal rf candidates skipped (thread-local locations)
@@ -297,19 +313,8 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sh := &shared{res: &Result{}, memo: make(map[string]bool)}
-	if opts.DedupSafeguard {
-		sh.seen = make(map[string]bool)
-	}
-	if opts.Workers > 1 {
-		sh.sem = make(chan struct{}, opts.Workers-1)
-	}
-	sh.ckpt = opts.Checkpoint != nil || opts.ResumeFrom != nil || opts.FailAfter > 0
-	e := &explorer{p: p, opts: opts, sh: sh, static: analyzeIfNeeded(p, opts)}
-	e.initObs()
-	if opts.Symmetry {
-		e.perms = symmetryPerms(len(p.Threads), p.SymmetryGroups())
-	}
+	e := newExplorer(p, opts)
+	sh := e.sh
 	frontier := []*eg.Graph{eg.NewGraph(len(p.Threads), p.NumLocs)}
 	if opts.ResumeFrom != nil {
 		var err error
@@ -401,6 +406,25 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 	return sh.res, nil
 }
 
+// newExplorer sets up the explorer of one run of p under opts, with an
+// empty result and memo.
+func newExplorer(p *prog.Program, opts Options) *explorer {
+	sh := &shared{res: &Result{}, memo: make(map[string]bool)}
+	if opts.DedupSafeguard {
+		sh.seen = make(map[string]bool)
+	}
+	if opts.Workers > 1 {
+		sh.sem = make(chan struct{}, opts.Workers-1)
+	}
+	sh.ckpt = opts.Checkpoint != nil || opts.ResumeFrom != nil || opts.FailAfter > 0
+	e := &explorer{p: p, opts: opts, sh: sh, static: analyzeIfNeeded(p, opts)}
+	e.initObs()
+	if opts.Symmetry {
+		e.perms = symmetryPerms(len(p.Threads), p.SymmetryGroups())
+	}
+	return e
+}
+
 // watch is the run's one watcher goroutine: it turns the asynchronous
 // pause sources — Options.Context and the progress clock — into requests,
 // so the branch loops poll nothing but atomic flags. It returns once the
@@ -444,6 +468,10 @@ type explorer struct {
 	tracer                      *obs.Tracer
 	tInterp, tConsist, tRevisit *obs.PhaseTimer
 	wave                        int
+	// auditSink is a test seam: when non-nil it is called with every sink
+	// extension admitted without a model check (see admit), so a test can
+	// run the full check there. Explore never sets it.
+	auditSink func(g *eg.Graph)
 }
 
 // key returns g's canonical state key: its semantic key, minimized over
@@ -544,11 +572,8 @@ func (sh *shared) takePending() []*eg.Graph {
 }
 
 // fork runs task on a free worker when one exists, inline otherwise.
-// Tasks never block waiting for a slot, so at most Workers goroutines run,
-// exhaustion degrades gracefully to sequential recursion, and a parent
-// waiting for its forked children (stepRead's stuck-read accounting) can
-// never deadlock: every child it spawned either holds a slot and runs, or
-// ran inline on the parent itself.
+// Tasks never block waiting for a slot, so at most Workers goroutines run
+// and exhaustion degrades gracefully to sequential recursion.
 func (e *explorer) fork(task func()) {
 	if e.sh.sem != nil {
 		select {
@@ -744,6 +769,24 @@ func (e *explorer) consistent(g *eg.Graph) bool {
 	return ok
 }
 
+// admit decides whether a forward extension g2 of a visited graph is
+// explored. Every visited graph is consistent, so when the new event is a
+// sink — po-maximal, with no readers and no co or fr successor — no axiom
+// of any model gains an edge out of it and g2 is consistent too (the
+// extension contract on memmodel.Model): it is admitted without a model
+// check and counted in SinkExtensions. Any other extension must pass the
+// check.
+func (e *explorer) admit(g2 *eg.Graph, sink bool) bool {
+	if !sink {
+		return e.consistent(g2)
+	}
+	e.count(func(s *Stats) { s.SinkExtensions++ })
+	if e.auditSink != nil {
+		e.auditSink(g2)
+	}
+	return true
+}
+
 // count applies a Stats mutation under the shared lock.
 func (e *explorer) count(f func(*Stats)) {
 	e.sh.mu.Lock()
@@ -751,16 +794,17 @@ func (e *explorer) count(f func(*Stats)) {
 	e.sh.mu.Unlock()
 }
 
-// step handles thread t's next action on g.
+// step handles thread t's next action on g. A fence is always a sink
+// extension (see admit): it orders events around it, and nothing follows
+// it in its thread.
 func (e *explorer) step(g *eg.Graph, t int, a interp.Action) {
 	id := eg.EvID{T: t, I: g.ThreadLen(t)}
 	switch {
 	case a.Kind == interp.ActFence:
 		g2 := g.Clone()
 		g2.Add(a.MakeEvent(id, 0))
-		if e.consistent(g2) {
-			e.visit(g2)
-		}
+		e.admit(g2, true)
+		e.visit(g2)
 
 	case a.Reads():
 		e.stepRead(g, id, a)
@@ -783,6 +827,12 @@ func (e *explorer) step(g *eg.Graph, t int, a interp.Action) {
 // permutation of an atomic-update chain is reached forward, with no
 // deletions — and it is why backward revisits never target updates with
 // an update revisitor (that pair is exactly a steal).
+//
+// Reading the co-maximal write (the last of ws) without a chain steal is a
+// sink extension: the read has no fr successor, and an update placed
+// right after that write is co-maximal itself. It is admitted without a
+// model check (see admit), so every read has at least one rf option and
+// Stats.StuckReads is 0 by construction. Every other candidate is checked.
 func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 	ws := g.WritesTo(a.Loc) // coherence order, init first
 	if len(ws) > 1 && e.pruneRF(a.Loc) {
@@ -793,16 +843,15 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 		e.tracePrune("rf", len(ws)-1)
 		ws = ws[len(ws)-1:]
 	}
-	var anyConsistent atomic.Bool
-	var wg sync.WaitGroup
-	for _, w := range ws {
+	for i, w := range ws {
 		if e.stopped() {
-			break
+			return
 		}
 		ev := a.MakeEvent(id, g.ValueOf(w))
 		g2 := g.Clone()
 		g2.Add(ev)
 		g2.SetRF(id, w)
+		sink := i == len(ws)-1
 		if ev.Kind == eg.KUpdate {
 			g2.CoInsert(a.Loc, g2.CoIndex(a.Loc, w)+1, id)
 			if u, ok := updateReading(g, a.Loc, w); ok {
@@ -811,6 +860,7 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 				// rebind diverges structurally (u's thread branches on
 				// the stolen value), fall back to a revisit-style rebind
 				// of u, which deletes and re-derives the affected suffix.
+				sink = false
 				pre := g2.Clone()
 				g2.SetRF(u, id)
 				if !interp.RepairAll(e.p, g2, u, e.opts.MaxSteps) {
@@ -819,13 +869,10 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 				}
 			}
 		}
-		wg.Add(1)
 		e.fork(func() {
-			defer wg.Done()
-			if !e.consistent(g2) {
+			if !e.admit(g2, sink) {
 				return
 			}
-			anyConsistent.Store(true)
 			e.visit(g2)
 			if ev.Kind == eg.KUpdate {
 				// The update's write part may backward-revisit plain
@@ -834,12 +881,6 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 				e.maybeRevisitsFrom(g2, id, a.Loc)
 			}
 		})
-	}
-	wg.Wait()
-	if !anyConsistent.Load() && !e.stopped() {
-		// Extensibility says reading co-max must be consistent; a stuck
-		// read indicates a model that violates the algorithm's assumptions.
-		e.count(func(s *Stats) { s.StuckReads++ })
 	}
 }
 
@@ -861,7 +902,9 @@ func updateReading(g *eg.Graph, loc eg.Loc, w eg.EvID) (eg.EvID, bool) {
 
 // stepWrite branches over coherence positions; each consistent placement
 // additionally performs backward revisits (per position, so the kept
-// prefix reflects this branch's coherence binding).
+// prefix reflects this branch's coherence binding). The co-maximal
+// placement (pos == n) is a sink extension, admitted without a model
+// check (see admit).
 func (e *explorer) stepWrite(g *eg.Graph, id eg.EvID, a interp.Action) {
 	n := len(g.CoLoc(a.Loc))
 	start := 0
@@ -881,8 +924,9 @@ func (e *explorer) stepWrite(g *eg.Graph, id eg.EvID, a interp.Action) {
 		g2 := g.Clone()
 		g2.Add(ev)
 		g2.CoInsert(a.Loc, pos, id)
+		sink := pos == n
 		e.fork(func() {
-			if !e.consistent(g2) {
+			if !e.admit(g2, sink) {
 				return
 			}
 			e.visit(g2)

@@ -13,24 +13,23 @@ import (
 // the write w — which is already part of g, carrying its rf (if an update)
 // and coherence position. Revisits are computed per forward branch of w's
 // addition, so the kept prefix reflects exactly the bindings of this
-// branch.
+// branch. The reads are visited in (thread, index) order straight off g,
+// which no revisit mutates.
 func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
-	var reads []eg.EvID
-	g.ForEach(func(ev *eg.Event) {
-		if !ev.Kind.IsRead() || ev.Loc != loc || ev.ID == w {
-			return
+	for t := 0; t < g.NumThreads(); t++ {
+		for i := 0; i < g.ThreadLen(t); i++ {
+			r := eg.EvID{T: t, I: i}
+			if ev := g.At(r); !ev.Kind.IsRead() || ev.Loc != loc || r == w {
+				continue
+			}
+			if src, ok := g.RF(r); ok && src == w {
+				continue // already bound to w (e.g. by a chain steal): a no-op
+			}
+			if e.stopped() {
+				return
+			}
+			e.fork(func() { e.revisit(g, w, r) })
 		}
-		if src, ok := g.RF(ev.ID); ok && src == w {
-			return // already bound to w (e.g. by a chain steal): a no-op
-		}
-		reads = append(reads, ev.ID)
-	})
-	for _, r := range reads {
-		if e.stopped() {
-			return
-		}
-		r := r
-		e.fork(func() { e.revisit(g, w, r) })
 	}
 }
 
@@ -79,7 +78,9 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 	// rely on replay repair to patch values (value-preserving dependency
 	// idioms survive this way).
 	ts := e.tRevisit.Start()
-	keep := keepSet(g, w, r)
+	cut := cutPool.Get().(*cutScratch)
+	defer cutPool.Put(cut)
+	keep := keepSet(g, w, r, cut)
 	e.tRevisit.Stop(ts)
 	if e.rebindAndVisit(g, keep, w, r) {
 		return
@@ -276,6 +277,13 @@ func existenceDeps(g *eg.Graph, keep []int, r eg.EvID) bool {
 	return false
 }
 
+// cutScratch is the pooled backing store of keepSet's cut vector and its
+// closure bookkeeping. A revisit holds it until it returns: Restrict and
+// pruneTainted copy what they need and keep no reference to the cut.
+type cutScratch struct{ buf []int }
+
+var cutPool = sync.Pool{New: func() any { return new(cutScratch) }}
+
 // keepSet computes the events surviving the revisit (r, w) as a cut
 // vector: thread t keeps its first keep[t] events. The kept set is
 // everything added before r, plus the downward closure of w (and of r
@@ -289,10 +297,15 @@ func existenceDeps(g *eg.Graph, keep []int, r eg.EvID) bool {
 // Every step of the closure adds po-predecessors, so the set is a
 // po-prefix of each thread, and the closure only ever raises a thread's
 // cut: keep[t] is the cut asked for so far, done[t] how much of it has
-// had its rf sources pulled in.
-func keepSet(g *eg.Graph, w, r eg.EvID) []int {
+// had its rf sources pulled in. The cut is carved from s and valid until
+// s is reused.
+func keepSet(g *eg.Graph, w, r eg.EvID, s *cutScratch) []int {
 	nt := g.NumThreads()
-	buf := make([]int, 2*nt)
+	if cap(s.buf) < 2*nt {
+		s.buf = make([]int, 2*nt)
+	}
+	buf := s.buf[:2*nt]
+	clear(buf)
 	keep, done := buf[:nt:nt], buf[nt:]
 	need := func(id eg.EvID) {
 		if !id.IsInit() && keep[id.T] <= id.I {

@@ -79,7 +79,7 @@ func cycleRejections(t *testing.T, p *prog.Program, m memmodel.Model, maxStates 
 		}
 	}
 	forEachRevisitPair(p, m, maxStates, func(g *eg.Graph, w, r eg.EvID) {
-		keep := keepSet(g, w, r)
+		keep := keepSet(g, w, r, new(cutScratch))
 		check(g, keep, w, r, 1)
 		if !existenceDeps(g, keep, r) {
 			return // no phase 2 (pruneTainted would delete nothing)
@@ -296,7 +296,7 @@ func keepCutMismatches(t *testing.T, p *prog.Program, m memmodel.Model, maxState
 		if t.Failed() {
 			return
 		}
-		cut := keepSet(g, w, r)
+		cut := keepSet(g, w, r, new(cutScratch))
 		set := keepSetOracle(g, w, r)
 		if ok, diff := cutMatchesSet(g, cut, set); !ok {
 			t.Errorf("%s under %s: phase-1 keep set of (%v ← %v) differs from the oracle: %s\nstate:\n%s",

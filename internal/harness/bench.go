@@ -28,7 +28,12 @@ type BenchRow struct {
 	Blocked           int    `json:"blocked"`
 	States            int    `json:"states"`
 	ConsistencyChecks int    `json:"consistency_checks"`
-	RevisitsTried     int    `json:"revisits_tried"`
+	// SinkExtensions is the forward steps admitted without a consistency
+	// check (core.Stats.SinkExtensions). It is informational, not gated:
+	// work that moves from checks to sinks shows as a fall in
+	// consistency_checks.
+	SinkExtensions int `json:"sink_extensions"`
+	RevisitsTried  int `json:"revisits_tried"`
 	// AllocsPerExec is heap allocations per explored execution (runtime
 	// Mallocs delta across the run, divided by Executions, the least of
 	// benchReps runs). Unlike wall-clock it barely moves between machines,
@@ -112,6 +117,7 @@ func BenchExplore(opts Options) (*BenchReport, error) {
 			Blocked:           res.Stats.Blocked,
 			States:            res.Stats.States,
 			ConsistencyChecks: res.Stats.ConsistencyChecks,
+			SinkExtensions:    res.Stats.SinkExtensions,
 			RevisitsTried:     res.Stats.RevisitsTried,
 			AllocsPerExec:     allocs / int64(max1(res.Stats.Executions)),
 			NS:                ns,
@@ -147,11 +153,11 @@ func (r *BenchReport) Table() *Table {
 	t := &Table{
 		ID:      "BENCH",
 		Title:   "tracked exploration counters (suite " + r.Suite + ")",
-		Columns: []string{"program", "model", "execs", "blocked", "states", "checks", "revisits", "allocs/exec", "time"},
+		Columns: []string{"program", "model", "execs", "blocked", "states", "checks", "sinks", "revisits", "allocs/exec", "time"},
 	}
 	for _, row := range r.Rows {
 		t.AddRow(row.Name, row.Model, row.Executions, row.Blocked, row.States,
-			row.ConsistencyChecks, row.RevisitsTried, row.AllocsPerExec, ms(time.Duration(row.NS)))
+			row.ConsistencyChecks, row.SinkExtensions, row.RevisitsTried, row.AllocsPerExec, ms(time.Duration(row.NS)))
 	}
 	return t
 }

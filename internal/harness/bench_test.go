@@ -18,7 +18,7 @@ func TestBenchExploreRoundTrip(t *testing.T) {
 		t.Fatal("empty bench suite")
 	}
 	for _, row := range r.Rows {
-		if row.Executions < 1 || row.ConsistencyChecks < 1 {
+		if row.Executions < 1 || row.ConsistencyChecks+row.SinkExtensions < 1 {
 			t.Errorf("degenerate row %+v", row)
 		}
 	}
@@ -59,6 +59,48 @@ func TestBenchBaselineRowOrder(t *testing.T) {
 	for i, j := range jobs {
 		if row := base.Rows[i]; row.Name != j.p.Name || row.Model != j.model {
 			t.Errorf("row %d is %s/%s, benchJobs writes %s/%s", i, row.Name, row.Model, j.p.Name, j.model)
+		}
+	}
+}
+
+// TestBenchSinkSplitKeepsForwardSteps: admitting sink extensions without
+// a model check moves forward steps from consistency_checks to
+// sink_extensions and changes nothing else, so on every tracked row the
+// two together equal the consistency checks the engine made when it
+// checked every step (the BENCH_explore.json values before sinks were
+// split off).
+func TestBenchSinkSplitKeepsForwardSteps(t *testing.T) {
+	checkedEveryStep := map[string]int{
+		"SB(8)/sc":      638,
+		"SB(8)/tso":     638,
+		"indexer(3)/sc": 3,
+		"inc(3,2)/sc":   583,
+		"LB(8)/imm":     1252,
+		"LB(8)/arm":     1252,
+		"SB(10)/tso":    2558,
+		"inc(3,3)/sc":   16833,
+	}
+	jobs := benchJobs(Options{})
+	if len(jobs) != len(checkedEveryStep) {
+		t.Fatalf("benchJobs has %d rows, the table %d", len(jobs), len(checkedEveryStep))
+	}
+	for _, j := range jobs {
+		key := j.p.Name + "/" + j.model
+		want, ok := checkedEveryStep[key]
+		if !ok {
+			t.Errorf("%s: no pre-split check count", key)
+			continue
+		}
+		res, _, err := explore("bench", j.p, j.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.ConsistencyChecks + res.SinkExtensions; got != want {
+			t.Errorf("%s: %d checks + %d sink extensions = %d, want %d",
+				key, res.ConsistencyChecks, res.SinkExtensions, got, want)
+		}
+		if res.SinkExtensions == 0 && want > 0 {
+			t.Errorf("%s: no sink extensions admitted", key)
 		}
 	}
 }

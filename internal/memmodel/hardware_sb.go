@@ -84,71 +84,91 @@ func storeBufferConsistent(v *eg.View, relaxWW bool) bool {
 }
 
 // storeBufferPPO computes preserved program order for the store-buffer
-// models. Starting from po it removes W→R pairs (and, when relaxWW is
-// set, W→W pairs to different locations), then restores pairs separated
-// by a sufficient fence or an atomic update:
+// models: program order without the pairs a store buffer reorders. A
+// plain write a is not ordered before
 //
-//   - full fences and updates restore both W→R and W→W;
-//   - lw fences restore W→W only.
+//   - a later plain read, unless a full fence or an atomic update (or an
+//     exclusive read) lies between them;
+//   - when relaxWW is set, a later plain write to another location, unless
+//     such a separator or an lw fence lies between them.
 //
-// Updates count as both reads and writes and are never buffered
-// (x86 locked instructions and SPARC atomics are fencing).
+// Updates count as both reads and writes and are never buffered (x86
+// locked instructions and SPARC atomics are fencing). Fences are not
+// global-order nodes: they only separate the accesses around them, so no
+// ppo edge enters or leaves one.
 //
-// Separation is decided in O(1) per pair from prefix counts of separator
-// events: the view lays each thread out contiguously in dense order, so
-// the separators strictly between same-thread events a < b are exactly
-// those in the dense interval (a, b). The prefix arrays live in s.
+// The rows are built directly, with no po copy: the view lays each thread
+// out contiguously in dense order, so row a is the events after a in its
+// thread minus the dropped ones, added as one word fill per run of kept
+// events. A backward pass per thread first records, in s, the first full
+// and store-store separator after each event; a later event b is
+// separated from a exactly when that separator comes before b.
 func storeBufferPPO(v *eg.View, relaxWW bool, s *scratch) *relation.Rel {
-	po := v.Po()
-	ppo := po.Clone()
-
-	isPlainWrite := func(e *eg.Event) bool { return e.Kind == eg.KWrite }
-	isPlainRead := func(e *eg.Event) bool { return e.Kind == eg.KRead && !e.Excl }
-
-	// pFull[i] / pWW[i] = number of full / store-store separators among
-	// Events[0..i).
-	s.pFull = fill(s.pFull, v.N+1, 0)
-	s.pWW = fill(s.pWW, v.N+1, 0)
-	pFull, pWW := s.pFull, s.pWW
-	for i := range v.Events {
-		e := &v.Events[i]
-		f, w := 0, 0
-		if e.Kind == eg.KUpdate || (e.Kind == eg.KRead && e.Excl) ||
-			(e.Kind == eg.KFence && e.Fence == eg.FenceFull) {
-			f, w = 1, 1
-		}
-		if e.Kind == eg.KFence && e.Fence == eg.FenceLW {
-			w = 1
-		}
-		pFull[i+1] = pFull[i] + f
-		pWW[i+1] = pWW[i] + w
-	}
-	separated := func(a, b int, prefix []int) bool {
-		return prefix[b] > prefix[a+1]
-	}
-
-	po.Pairs(func(a, b int) {
-		ea, eb := &v.Events[a], &v.Events[b]
-		// Fences are not global-order nodes themselves: they only restore
-		// access pairs around them. Leaving fence-incident po edges in ghb
-		// would smuggle W→R order through the fence node.
-		if ea.Kind == eg.KFence || eb.Kind == eg.KFence {
-			ppo.Remove(a, b)
-			return
-		}
-		if ea.ID.IsInit() {
-			return // init writes are globally visible from the start
-		}
-		switch {
-		case isPlainWrite(ea) && isPlainRead(eb):
-			if !separated(a, b, pFull) {
-				ppo.Remove(a, b)
-			}
-		case relaxWW && isPlainWrite(ea) && eb.Kind == eg.KWrite && ea.Loc != eb.Loc:
-			if !separated(a, b, pWW) {
-				ppo.Remove(a, b)
+	ppo := v.Empty()
+	ev := v.Events
+	s.nextFull = fill(s.nextFull, v.N, 0)
+	s.nextWW = fill(s.nextWW, v.N, 0)
+	nextFull, nextWW := s.nextFull, s.nextWW
+	nt := v.G.NumThreads()
+	for t := 0; t < nt; t++ {
+		lo, hi := v.ThreadRange(t)
+		full, ww := hi, hi
+		for a := hi - 1; a >= lo; a-- {
+			nextFull[a], nextWW[a] = full, ww
+			switch e := &ev[a]; {
+			case e.Kind == eg.KUpdate || (e.Kind == eg.KRead && e.Excl) ||
+				(e.Kind == eg.KFence && e.Fence == eg.FenceFull):
+				full, ww = a, a
+			case e.Kind == eg.KFence && e.Fence == eg.FenceLW:
+				ww = a
 			}
 		}
-	})
+	}
+
+	// Init writes are globally visible from the start: each precedes
+	// every thread access. Row 0 is filled, the other init rows copy it.
+	if nl := v.G.NumLocs(); nl > 0 {
+		run := nl
+		for b := nl; b < v.N; b++ {
+			if ev[b].Kind == eg.KFence {
+				ppo.AddRange(0, run, b)
+				run = b + 1
+			}
+		}
+		ppo.AddRange(0, run, v.N)
+		for l := 1; l < nl; l++ {
+			ppo.UnionRow(l, 0)
+		}
+	}
+
+	for t := 0; t < nt; t++ {
+		lo, hi := v.ThreadRange(t)
+		for a := lo; a < hi; a++ {
+			ea := &ev[a]
+			if ea.Kind == eg.KFence {
+				continue
+			}
+			// Only a plain write has later events buffered behind it, and
+			// only those up to its next full separator.
+			cut := a
+			if ea.Kind == eg.KWrite {
+				cut = nextFull[a]
+			}
+			run := a + 1
+			for b := a + 1; b < hi; b++ {
+				eb := &ev[b]
+				drop := eb.Kind == eg.KFence
+				if !drop && b <= cut {
+					drop = (eb.Kind == eg.KRead && !eb.Excl) ||
+						(relaxWW && b <= nextWW[a] && eb.Kind == eg.KWrite && eb.Loc != ea.Loc)
+				}
+				if drop {
+					ppo.AddRange(a, run, b)
+					run = b + 1
+				}
+			}
+			ppo.AddRange(a, run, hi)
+		}
+	}
 	return ppo
 }

@@ -24,10 +24,23 @@ import (
 )
 
 // Model is a memory consistency model: a predicate over execution graphs.
-// Consistency must be *extensible-monotone*: every restriction of a
-// consistent graph to a per-thread-prefix-closed subset (with co projected)
-// is consistent. All acyclicity-style axioms have this property, which is
-// what makes prefix pruning in the explorer sound and complete.
+// Consistency must be *extensible-monotone*:
+//
+//   - prefix closure: every restriction of a consistent graph to a
+//     per-thread-prefix-closed subset (with co projected) is consistent;
+//   - extension: adding a *sink* to a consistent graph keeps it
+//     consistent. A sink is a po-maximal event with no readers and no co
+//     or fr successor: a fence, a read (or an update placed right after
+//     its source) of the co-maximal write, or a co-maximal write.
+//
+// An axiom requiring a relation built from po, rf, co, fr and the
+// dependencies (by union, sequence and closure) to be acyclic or
+// irreflexive has both properties: no edge leaves a sink, so a sink lies
+// on no cycle. Atomicity holds for a sink update, which sits right after
+// its source. Prefix closure makes prefix pruning in the explorer sound
+// and complete; extension lets the explorer admit sink extensions
+// without calling Consistent (TestPropSinkExtensionsPassFullCheck in
+// internal/core checks it for every registered model).
 type Model interface {
 	// Name returns the model's short name (e.g. "tso").
 	Name() string
@@ -46,8 +59,10 @@ type scratch struct {
 	rfSrc []int // dense index of each read's rf source, or -1
 	key   []int // eco position of each memory event, or -1 (see ecoKeys)
 	order []int // d's topological order
-	pFull []int // full-separator prefix counts (see storeBufferPPO)
-	pWW   []int // store-store-separator prefix counts
+	// nextFull / nextWW: the first full / store-store separator after
+	// each event in its thread, or the thread's end (see storeBufferPPO).
+	nextFull []int
+	nextWW   []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return &scratch{d: relation.NewDelta(0)} }}
