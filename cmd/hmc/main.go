@@ -29,8 +29,9 @@
 //
 // -progress D prints a live ticker to stderr every D (wave, executions,
 // rate, an ETA derived from a quick pre-run estimate) without touching
-// stdout; -trace writes a JSONL exploration trace — one event per wave,
-// revisit, static prune and progress snapshot — for offline analysis.
+// stdout; -trace writes a JSONL exploration trace — one event per wave
+// (served pause), revisit, static prune and progress snapshot — for
+// offline analysis.
 //
 // A -timeout'd or -max'd run that stops early writes its final frontier
 // to the -checkpoint file; re-running with the same -checkpoint picks the

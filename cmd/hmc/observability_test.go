@@ -82,7 +82,7 @@ func TestRunTraceFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	// SB under tso takes backward revisits; the trace must show them tried
-	// and taken. (Wave events appear only when a drain actually happens —
+	// and taken. (Wave events appear only when a pause is served —
 	// progress or checkpointing — not in a plain run.)
 	if kinds["revisit-tried"] == 0 || kinds["revisit-taken"] == 0 {
 		t.Errorf("no revisit events in trace: %v", kinds)

@@ -15,32 +15,28 @@ import (
 // serialization of the explorer's work state, built so a killed run can be
 // resumed with nothing lost and nothing repeated.
 //
-// The mechanism is a cooperative *drain* rather than a hard stop. The
-// explorer's DFS has exactly one recursion point — visit — so when a pause
-// is requested (shared.request: a periodic EveryExecs checkpoint, a
+// A checkpoint is taken at a pause rather than a hard stop. The drivers
+// (drive in explorer.go) expand a state completely before they pop the
+// next, and a pause (shared.request: a periodic EveryExecs checkpoint, a
 // progress snapshot, or the end of a checkpointable run by context
 // cancellation, deterministic fault injection via Options.FailAfter, or a
-// whole-run truncation), the drain flag makes every subsequent visit
-// record its incoming graph as *pending* instead of recursing, while the
-// branch loops above it keep constructing and consistency-checking
-// children as usual. Once the wave unwinds:
+// whole-run truncation) is served between two pops: every driver parks
+// its stack in the pending frontier. Then
 //
-//   - the memo contains exactly the states whose direct-child enumeration
-//     completed (visit inserts the key before enumerating, and a drained
-//     visit never inserts), and
-//   - the pending frontier covers every constructed-but-unexplored child.
+//   - the memo contains exactly the states that were expanded, and
+//   - the pending frontier holds every checked child not yet popped.
 //
 // So memo + pending + counters is a complete, sound description of the
-// remaining work: resuming restores the memo and Stats and visits each
-// pending graph. Each unit of work — a consistency check, a revisit, a
+// remaining work: resuming restores the memo and Stats and drives the
+// pending graphs. Each unit of work — a consistency check, a revisit, a
 // completed execution — happens exactly once, on one side of the cut,
 // which is what the resume-equivalence tests assert.
 //
-// The wave loop in Explore then acts on exactly the reasons requested: it
+// The pause loop in Explore then acts on exactly the reasons requested: it
 // captures the final checkpoint and stops for an end, emits a periodic
 // checkpoint or a progress snapshot and continues otherwise. A request
-// that arrives while a sink runs raises the drain again, so the next wave
-// serves it — a cancellation is never lost to a periodic pause.
+// that arrives while a sink runs stays set, so the next pop pauses again
+// and serves it — a cancellation is never lost to a periodic pause.
 
 // SchemaVersion identifies the engine's result semantics: the meaning of
 // Stats counters, the state-key construction, and the exploration
@@ -71,7 +67,7 @@ type CheckpointOptions struct {
 	// truncations still produce a final checkpoint on the Result).
 	EveryExecs int
 	// Sink receives each periodic snapshot. It runs on the exploration
-	// goroutine between waves — workers are quiescent — so it may encode
+	// goroutine during a pause — every driver parked — so it may encode
 	// and persist the checkpoint without racing the explorer. A nil Sink
 	// disables periodic snapshots.
 	Sink func(*Checkpoint)
@@ -213,7 +209,7 @@ func optsSignature(o Options) string {
 }
 
 // capture snapshots the exploration state with the given pending
-// frontier. Called only between waves (workers quiescent); the lock
+// frontier. Called only during a pause (every driver parked); the lock
 // guards against the context watcher and keeps the rule simple.
 func (e *explorer) capture(frontier []*eg.Graph) *Checkpoint {
 	e.sh.mu.Lock()
@@ -289,7 +285,7 @@ func (cp *Checkpoint) checkVersion() error {
 
 // restore validates cp against this run (Compatible, then the pending
 // graphs' shapes) and installs its state into the explorer, returning the
-// pending frontier to visit. A mismatch returns ErrCheckpointMismatch
+// pending frontier to drive. A mismatch returns ErrCheckpointMismatch
 // (wrapped) and leaves the explorer untouched.
 func (e *explorer) restore(cp *Checkpoint) ([]*eg.Graph, error) {
 	if err := cp.Compatible(e.p, e.opts); err != nil {

@@ -145,7 +145,7 @@ func assertSameExploration(t *testing.T, label string, straight, resumed *Result
 }
 
 // killPoints samples the branch points to kill at. The total number of
-// branch points in a straight run is States+MemoHits (every visit entry
+// branch points in a straight run is States+MemoHits (every popped state
 // either inserts into the memo or hits it); small spaces are killed at
 // every point, larger ones at a spread of early, middle and late points.
 func killPoints(total int, short bool) []int {

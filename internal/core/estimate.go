@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 
 	"hmc/internal/eg"
-	"hmc/internal/interp"
 	"hmc/internal/prog"
 )
 
@@ -46,9 +45,9 @@ func (r *EstimateResult) String() string {
 // exploring them all, by random probing (Knuth's tree-size estimator, the
 // technique behind GenMC's --estimate): each probe walks root→leaf
 // choosing uniformly among the successor states the real algorithm would
-// branch to, multiplying its weight by the branching factor, and a
-// complete leaf contributes that weight. The estimator is deterministic
-// for a fixed seed.
+// branch to (the children expand lists), multiplying its weight by the
+// branching factor, and a complete leaf contributes that weight. The
+// estimator is deterministic for a fixed seed.
 //
 // The probe tree is the *unmemoized* exploration tree, so the estimator
 // is unbiased for the number of root→execution paths. When the memoized
@@ -60,7 +59,7 @@ func (r *EstimateResult) String() string {
 // counter-style programs. Two practical consequences: the estimate is
 // always safe as an upper bound for "too big to check?", and a spread
 // (StdErr) comparable to the mean is the signature of a revisit-heavy
-// space where reductions (Symmetry, Workers) should be applied before an
+// space where a reduction (Symmetry) should be applied before an
 // exhaustive run.
 //
 // Estimate honours opts.Context — cancellation stops probing and returns
@@ -94,7 +93,8 @@ func Estimate(p *prog.Program, opts Options, samples int, seed int64) (res *Esti
 		samples = 32
 	}
 	rng := rand.New(rand.NewSource(seed))
-	static := analyzeIfNeeded(p, opts)
+	e := &explorer{p: p, opts: opts, static: analyzeIfNeeded(p, opts)}
+	var x expansion
 	res = &EstimateResult{Samples: samples}
 	var sum, sumSq float64
 	taken := 0
@@ -104,7 +104,6 @@ func Estimate(p *prog.Program, opts Options, samples int, seed int64) (res *Esti
 			break
 		}
 		taken++
-		e := &explorer{p: p, opts: opts, sh: &shared{res: &Result{}}, static: static}
 		g := eg.NewGraph(len(p.Threads), p.NumLocs)
 		w := 1.0
 		depth := 0
@@ -113,18 +112,18 @@ func Estimate(p *prog.Program, opts Options, samples int, seed int64) (res *Esti
 				res.Interrupted = true
 				break
 			}
-			kids, status := e.successors(g)
-			if status == leafComplete {
+			e.expand(g, &x)
+			if x.out == outComplete {
 				sum += w
 				sumSq += w * w
 				res.CompletedProbes++
 				break
 			}
-			if status != leafInner || len(kids) == 0 {
+			if x.out != outInner || len(x.kids) == 0 {
 				break // blocked, error, or all successors inconsistent
 			}
-			w *= float64(len(kids))
-			g = kids[rng.Intn(len(kids))]
+			w *= float64(len(x.kids))
+			g = x.kids[rng.Intn(len(x.kids))]
 			depth++
 		}
 		if depth > res.MaxDepth {
@@ -160,43 +159,4 @@ func finiteEstimate(x float64) float64 {
 		return math.MaxFloat64
 	}
 	return x
-}
-
-// leafStatus classifies a state during probing.
-type leafStatus int
-
-const (
-	leafInner    leafStatus = iota // has successor states
-	leafComplete                   // complete consistent execution
-	leafBlocked                    // some thread's assume failed
-	leafError                      // assertion failure
-)
-
-// successors enumerates the states one algorithm step away from g — the
-// same forward branches and backward revisits visit() would recurse into.
-// The explorer must be a private scratch instance: successors drains it
-// for good, so visit records each successor in pending instead of
-// exploring it.
-func (e *explorer) successors(g *eg.Graph) ([]*eg.Graph, leafStatus) {
-	e.sh.drain.Store(true)
-	blocked := false
-	for t := range e.p.Threads {
-		a := interp.Next(e.p, g, t, e.opts.MaxSteps)
-		switch a.Kind {
-		case interp.ActDone:
-			continue
-		case interp.ActBlocked:
-			blocked = true
-			continue
-		case interp.ActError:
-			return nil, leafError
-		default:
-			e.step(g, t, a)
-			return e.sh.takePending(), leafInner
-		}
-	}
-	if blocked {
-		return nil, leafBlocked
-	}
-	return nil, leafComplete
 }

@@ -45,6 +45,29 @@ func TestEstimateDeterministic(t *testing.T) {
 	if a.Mean != b.Mean || a.CompletedProbes != b.CompletedProbes {
 		t.Errorf("same seed must reproduce: %v vs %v", a, b)
 	}
+	// Pinned values at 200 probes, seed 1: a probe picks a uniformly random
+	// child by index, so these also pin the order of each state's successor
+	// list.
+	for _, c := range []struct {
+		p                   *prog.Program
+		model               string
+		mean, stdErr        float64
+		completed, maxDepth int
+	}{
+		{gen.SBN(8), "tso", 256, 0, 200, 16},
+		{gen.LBN(8), "imm", 3.130657664e+07, 2.2257753667789083e+07, 200, 59},
+		{gen.IncN(3, 2), "sc", 5209.455, 2893.077593602164, 200, 12},
+	} {
+		m, _ := memmodel.ByName(c.model)
+		est, err := Estimate(c.p, Options{Model: m}, 200, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.Mean != c.mean || est.StdErr != c.stdErr || est.CompletedProbes != c.completed || est.MaxDepth != c.maxDepth {
+			t.Errorf("%s/%s: mean %v stderr %v completed %d depth %d; want %v %v %d %d", c.p.Name, c.model,
+				est.Mean, est.StdErr, est.CompletedProbes, est.MaxDepth, c.mean, c.stdErr, c.completed, c.maxDepth)
+		}
+	}
 }
 
 // TestEstimateExactOnTreeShapedSpaces: when the memoized search never

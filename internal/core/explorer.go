@@ -32,22 +32,32 @@
 // out of edges repair cannot rewrite, is dropped before any graph is built
 // (coherence, shared by every model, forbids it), and a failed revisit with
 // no kept control or address dependency skips the taint-pruning second
-// phase, which could delete nothing. Optimality — each consistent execution
-// explored exactly once — comes from the exploration-state memo in visit:
-// graphs are memoized on their canonical key, so a state rebuilt by a
-// second revisit choreography is pruned rather than re-explored. There is
-// no maximality side condition on revisits. Because complete runs only
-// for a key visit has just admitted to the memo, Stats.Duplicates under
-// DedupSafeguard is 0 by construction and cannot referee the guarantee;
-// the referee is the equality of the explored execution set with the
-// axiomatic enumerator's and the operational machines' (internal/axenum,
-// internal/operational, internal/crossval).
+// phase, which could delete nothing.
+//
+// Expansion is split from scheduling: expand computes one state's checked
+// children, its outcome and a counter delta, touching no shared state, and
+// the schedulers are small drivers over it — drive, a depth-first search
+// over an explicit stack (one per worker), and Estimate's Knuth probes. A
+// pause (shared.request) is served between two pops, and the drivers'
+// stacks are the pending frontier a checkpoint saves.
+//
+// Optimality — each consistent execution explored exactly once — comes
+// from the exploration-state memo the drivers check before expanding a
+// state: graphs are memoized on their canonical key, so a state rebuilt by
+// a second revisit choreography is pruned rather than re-explored. There
+// is no maximality side condition on revisits. Because complete runs only
+// for a key the driver has just admitted to the memo, Stats.Duplicates
+// under DedupSafeguard is 0 by construction and cannot referee the
+// guarantee; the referee is the equality of the explored execution set
+// with the axiomatic enumerator's and the operational machines'
+// (internal/axenum, internal/operational, internal/crossval).
 package core
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,10 +80,10 @@ type Options struct {
 	// Model is the memory model to check against (required).
 	//hmc:identity(Model) — checked through the dedicated Checkpoint.Model field on resume
 	Model memmodel.Model
-	// Context, when non-nil, makes the exploration cancellable: it is
-	// polled at every branch point (forward branches, revisits, and the
-	// parallel worker pool), so cancellation or a deadline stops the run
-	// mid-exploration. An interrupted run is not an error — Explore
+	// Context, when non-nil, makes the exploration cancellable: the run's
+	// watcher turns its cancellation into a request that every driver
+	// checks before it expands the next state, so cancellation or a
+	// deadline stops the run mid-exploration. An interrupted run is not an error — Explore
 	// returns the partial Result accumulated so far with Interrupted set,
 	// mirroring how MaxExecutions sets Truncated.
 	//hmc:transient(cancellation is a property of the run, not of the saved state)
@@ -91,7 +101,7 @@ type Options struct {
 	// defense against state explosion in a single oversized submission.
 	MaxEvents int
 	// MemoryBudget is a soft process-heap ceiling in bytes (0 =
-	// unlimited), checked periodically at branch points against
+	// unlimited), checked periodically before states are expanded, against
 	// runtime.ReadMemStats (HeapAlloc). Exceeding it stops the whole
 	// exploration and returns the partial Result with Truncated set and
 	// reason TruncMemoryBudget — graceful degradation instead of an OOM
@@ -106,7 +116,7 @@ type Options struct {
 	// duplicates, counting them in Stats.Duplicates. It costs memory
 	// proportional to the execution count. While the state memo is on (as
 	// it always is today) the count is 0 by construction: complete only
-	// sees keys visit has just admitted. The safeguard becomes a live check
+	// sees keys the driver has just admitted to the memo. The safeguard becomes a live check
 	// once exactly-once rests on a revisit condition instead of the memo
 	// (ROADMAP item 3); until then the execution-set equality with
 	// internal/axenum and internal/operational is the real referee.
@@ -130,13 +140,14 @@ type Options struct {
 	// Result.Keys (tests and cross-validation).
 	CollectKeys bool
 	// Workers sets the number of concurrent exploration workers (≤1:
-	// sequential). Exploration subtrees are independent — graphs are
-	// cloned per branch and the state memo is synchronized — so branches
-	// fork onto free workers and degrade to inline recursion when all
-	// slots are busy; no task ever waits. Results are identical to the
-	// sequential run except for ordering: Keys, Errors and the OnExecution
-	// callback sequence follow completion order, not DFS order (the
-	// callbacks themselves are serialized).
+	// sequential). Each worker runs the depth-first driver on its own
+	// stack. Exploration subtrees are independent — graphs are cloned per
+	// branch and the state memo is synchronized — so a worker hands each
+	// child it expands to a free worker and pushes it on its own stack
+	// when every slot is busy; no task ever waits. Results are identical to
+	// the sequential run except for ordering: Keys, Errors and the
+	// OnExecution callback sequence follow completion order, not DFS order
+	// (the callbacks themselves are serialized).
 	//hmc:transient(parallelism only reorders the same work; legs of a resume chain may differ)
 	Workers int
 	// StaticAnalysis enables static pruning: before exploration the
@@ -172,14 +183,14 @@ type Options struct {
 	// Checkpoint, when non-nil, makes the run checkpointable: periodic
 	// snapshots go to Checkpoint.Sink every Checkpoint.EveryExecs
 	// completed executions (and only then — progress pauses never emit
-	// one), and any interruption or whole-run truncation drains the
-	// in-flight work into a final snapshot on Result.Checkpoint instead of
-	// discarding it (see checkpoint.go). Checkpointing changes how the run
-	// *stops* — a cancelled context drains instead of hard-stopping, so
-	// interruption latency grows by one wave of branch construction — but
-	// never what it explores. A cancellation that lands while a sink runs
-	// ends the run at the next wave. StopOnError and engine panics still
-	// stop hard and yield no checkpoint.
+	// one), and any interruption or whole-run truncation saves the
+	// drivers' stacks into a final snapshot on Result.Checkpoint instead
+	// of discarding them (see checkpoint.go). Checkpointing changes how
+	// the run *stops* — a cancelled context pauses the drivers and keeps
+	// their stacks instead of hard-stopping — but never what it explores.
+	// A cancellation that lands while a sink runs ends the run at the next
+	// pause. StopOnError and engine panics still stop hard and yield no
+	// checkpoint.
 	//hmc:transient(checkpoint cadence changes when the run stops, never what it explores)
 	Checkpoint *CheckpointOptions
 	// ResumeFrom continues a prior run from its checkpoint. The
@@ -192,30 +203,31 @@ type Options struct {
 	ResumeFrom *Checkpoint
 	// FailAfter, when positive, injects a deterministic fault: the run
 	// behaves as if the process had been killed at its FailAfter-th
-	// branch point — exploration drains into a final checkpoint on
+	// branch point (the FailAfter-th state a driver pops) — the drivers'
+	// stacks, that state included, go into a final checkpoint on
 	// Result.Checkpoint with Interrupted set. This is the
 	// resume-equivalence test hook ("kill at every k-th branch point"
 	// without wall-clock races); production kills exercise the same
-	// drain path via Context cancellation.
+	// pause via Context cancellation.
 	//hmc:transient(a deterministic kill injection: decides when the run stops, never what it explores)
 	FailAfter int
 	// Progress, when non-nil (with a Sink), delivers periodic
 	// ProgressSnapshots of the running exploration: counters, rates,
 	// frontier size and a sampled phase-timing breakdown (see
 	// progress.go). A ticker on the run's watcher goroutine requests a
-	// pause every Progress.Every; the snapshot is taken at the quiescent
-	// point between drain waves, workers paused, so it is race-free and
-	// never changes what is explored. A progress pause emits no
+	// pause every Progress.Every; the snapshot is taken once every driver
+	// has stopped between two states, so it is race-free and never
+	// changes what is explored. A progress pause emits no
 	// checkpoint. Like Workers, this is a transient knob: it is excluded
 	// from checkpoint signatures, and interruption semantics are unchanged
 	// (a progress-only run still hard-stops on cancellation).
 	//hmc:transient(snapshots observe the run at quiescent points; they never change what is explored)
 	Progress *ProgressOptions
 	// Trace, when non-nil, streams structured exploration events —
-	// waves, revisits, static prunes, snapshots — as JSON lines to the
-	// tracer (see internal/obs). Tracing alone starts no phase timers:
-	// only progress snapshots read them. A tracer write error is latched
-	// and reported by Tracer.Err, never aborting the run.
+	// served pauses ("wave"), revisits, static prunes, snapshots — as JSON
+	// lines to the tracer (see internal/obs). Tracing alone starts no
+	// phase timers: only progress snapshots read them. A tracer write
+	// error is latched and reported by Tracer.Err, never aborting the run.
 	//hmc:transient(tracing observes the run; a straight and a traced run explore the same states)
 	Trace *obs.Tracer
 }
@@ -323,7 +335,7 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 		}
 		// A checkpoint taken exactly at the MaxExecutions bound: the run
 		// it describes already stopped there, so under the same bound the
-		// first wave drains straight back into the checkpoint — continuing
+		// first pop pauses straight back into the checkpoint — continuing
 		// would explore (and memoize) states the straight run never reached.
 		if opts.MaxExecutions > 0 && sh.res.Executions >= opts.MaxExecutions {
 			e.truncate(TruncMaxExecutions, true)
@@ -340,32 +352,31 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 		defer close(done)
 		go e.watch(done)
 	}
-	// The wave loop: visit the frontier, wait for quiescence, and — when a
-	// pause was requested — act on exactly the requested reasons, then
-	// continue with the drained pending graphs as the next frontier. A run
-	// that requests no pause takes exactly one trip.
+	// The pause loop: drive the frontier until the work is done or a pause
+	// is requested, wait for every worker to park its stack, and act on
+	// exactly the requested reasons; then continue from the parked stacks.
+	// A run that requests no pause takes exactly one trip.
 	remaining := 0
 	for {
-		for _, g := range frontier {
-			g := g
-			e.guard(func() { e.visit(g) })
-		}
+		e.guard(func() { e.drive(frontier) })
 		sh.wg.Wait()
 		if sh.engineErr != nil {
 			return nil, sh.engineErr
 		}
-		if !sh.drain.Load() {
-			break // exhausted, or hard-stopped (no checkpoint either way)
-		}
-		pending := sh.takePending()
-		e.wave++
-		e.traceWave(len(pending))
-		if sh.stop.Load() {
-			// A hard stop (StopOnError, panic wind-down) raced the drain:
-			// the pending set is incomplete, so no checkpoint is safe.
+		// A request that arrives from here on is left for the next trip,
+		// whose first pop serves it.
+		reasons := reason(sh.reasons.Swap(0))
+		if reasons == 0 || sh.stop.Load() {
+			// Exhausted, or hard-stopped: a hard stop (StopOnError, panic
+			// wind-down) leaves the stacks incomplete, so no checkpoint is
+			// safe.
 			break
 		}
-		reasons := reason(sh.reasons.Swap(0))
+		// Every driver is parked, so the stacks are read without the lock.
+		pending := sh.pending
+		sh.pending = nil
+		e.wave++
+		e.traceWave(len(pending))
 		if reasons&reasonEnd != 0 {
 			sh.res.Checkpoint = e.capture(pending)
 			remaining = len(pending)
@@ -376,19 +387,11 @@ func Explore(p *prog.Program, opts Options) (*Result, error) {
 			e.guard(func() { opts.Checkpoint.Sink(cp) })
 		}
 		if reasons&reasonProgress != 0 {
-			// The drain brought every worker to this quiescent point, so
-			// the counters read race-free.
+			// Every driver is parked, so the counters read race-free.
 			e.emitProgress(len(pending), false)
 		}
 		if sh.engineErr != nil {
 			return nil, sh.engineErr
-		}
-		// Resume, unless a request arrived while the sinks ran: clearing
-		// the flag before reading the reasons means a request either is
-		// seen here or raises the flag itself afterwards.
-		sh.drain.Store(false)
-		if sh.reasons.Load() != 0 {
-			sh.drain.Store(true)
 		}
 		frontier = pending
 		if len(frontier) == 0 {
@@ -427,7 +430,7 @@ func newExplorer(p *prog.Program, opts Options) *explorer {
 
 // watch is the run's one watcher goroutine: it turns the asynchronous
 // pause sources — Options.Context and the progress clock — into requests,
-// so the branch loops poll nothing but atomic flags. It returns once the
+// so the drivers poll nothing but atomic flags. It returns once the
 // context is done (the run is ending) or when done is closed.
 func (e *explorer) watch(done <-chan struct{}) {
 	var cancelled <-chan struct{}
@@ -463,7 +466,7 @@ type explorer struct {
 	static *analyze.Result
 	// Observability (progress.go): prog and tracer are nil when disabled;
 	// the phase timers are non-nil exactly when either is on. wave counts
-	// completed drain waves and is touched only on the Explore goroutine.
+	// served pauses and is touched only on the Explore goroutine.
 	prog                        *progressState
 	tracer                      *obs.Tracer
 	tInterp, tConsist, tRevisit *obs.PhaseTimer
@@ -487,10 +490,11 @@ func (e *explorer) key(g *eg.Graph) string {
 }
 
 // shared is the exploration state common to all workers. The mutex guards
-// the result, the state memo and the dedup table; the stop flag is atomic
-// so branch loops can poll it without locking. Exploration subtrees only
-// read the graph they were handed (strict replay never mutates) and clone
-// before extending, so the graph itself needs no synchronization.
+// the result, the state memo, the dedup table and the parked stacks; the
+// stop flag and the pause reasons are atomic so the drivers can poll them
+// without locking. Expansion only reads the graph it was handed (strict
+// replay never mutates) and clones before extending, so the graph itself
+// needs no synchronization.
 type shared struct {
 	mu          sync.Mutex
 	res         *Result
@@ -501,22 +505,21 @@ type shared struct {
 	interrupted atomic.Bool   // the end was requested by Options.Context (or FailAfter)
 	visits      atomic.Int64  // visit counter paces the MemoryBudget check
 	faults      atomic.Int64  // branch points counted for Options.FailAfter
-	sem         chan struct{} // fork slots (nil: sequential)
+	sem         chan struct{} // worker slots (nil: sequential)
 	wg          sync.WaitGroup
 
-	// Pause machinery (see request and checkpoint.go). While drain is
-	// set, visit records incoming graphs in pending instead of recursing;
-	// reasons accumulates what the pause is for until the wave loop takes
-	// it. ckpt marks a checkpointable run (Options.Checkpoint, ResumeFrom
-	// or FailAfter).
-	drain   atomic.Bool
+	// Pause machinery (see request and checkpoint.go). reasons
+	// accumulates what a pause is for until the pause loop takes it; while
+	// it is non-zero every driver parks its stack in pending instead of
+	// popping. ckpt marks a checkpointable run (Options.Checkpoint,
+	// ResumeFrom or FailAfter).
 	reasons atomic.Uint32
 	pending []*eg.Graph // guarded by mu
 	ckpt    bool
 }
 
-// reason is a bit set of what a pause request asks the wave loop to do
-// once the workers are quiescent.
+// reason is a bit set of what a pause request asks the pause loop to do
+// once every driver is parked.
 type reason uint32
 
 const (
@@ -525,12 +528,12 @@ const (
 	reasonProgress                      // emit a progress snapshot, continue
 )
 
-// request asks for a pause at the next quiescent point. Every source of a
-// pause calls it: the watcher (Options.Context, the progress clock),
+// request asks for a pause before the next state is expanded. Every source
+// of a pause calls it: the watcher (Options.Context, the progress clock),
 // FailAfter, MaxExecutions, MemoryBudget and Checkpoint.EveryExecs. An end
 // request on a run that is not checkpointable sets the hard stop instead:
-// nothing would be captured, and abandoning the in-flight branches keeps
-// interruption immediate. Safe to call under mu (it takes no lock).
+// nothing would be captured, and abandoning the stacks keeps interruption
+// immediate. Safe to call under mu (it takes no lock).
 func (sh *shared) request(r reason) {
 	if r&reasonEnd != 0 && !sh.ckpt {
 		sh.stop.Store(true)
@@ -539,10 +542,9 @@ func (sh *shared) request(r reason) {
 	for {
 		old := sh.reasons.Load()
 		if sh.reasons.CompareAndSwap(old, old|uint32(r)) {
-			break
+			return
 		}
 	}
-	sh.drain.Store(true)
 }
 
 // interrupt ends the run on behalf of Options.Context or FailAfter.
@@ -551,216 +553,280 @@ func (sh *shared) interrupt() {
 	sh.request(reasonEnd)
 }
 
-// stopped reports whether exploration has been aborted.
-func (e *explorer) stopped() bool { return e.sh.stop.Load() }
-
-// recordPending saves a graph whose visit was deferred by a drain.
-func (e *explorer) recordPending(g *eg.Graph) {
-	e.sh.mu.Lock()
-	e.sh.pending = append(e.sh.pending, g)
-	e.sh.mu.Unlock()
+// drive explores the subtrees of frontier, in order, depth first over an
+// explicit stack: each pop checks the stop flag, the pause requests and
+// the per-state bounds, admits the state to the memo, expands it, settles
+// the expansion and pushes the children in reverse, so they are visited
+// in the order expand lists them. States are memoized on their semantic
+// key (per-thread events with values, rf and co): replay is
+// deterministic, so equal keys have identical futures, and each state is
+// explored exactly once. The memo also guarantees termination, as revisit
+// chains could otherwise rebuild identical graphs forever. On a pause the
+// driver parks the rest of its stack, in visit order, in the shared
+// pending frontier; on a hard stop it drops it.
+func (e *explorer) drive(frontier []*eg.Graph) {
+	sh := e.sh
+	stack := slices.Clone(frontier)
+	slices.Reverse(stack)
+	var x expansion
+	for len(stack) > 0 {
+		if sh.stop.Load() {
+			return
+		}
+		if sh.reasons.Load() != 0 {
+			break
+		}
+		g := stack[len(stack)-1]
+		if n := e.opts.FailAfter; n > 0 && sh.faults.Add(1) == int64(n) {
+			// Deterministic fault injection: "the process dies here". The
+			// run is checkpointable, so g stays on the stack and heads the
+			// pending frontier.
+			sh.interrupt()
+			break
+		}
+		stack = stack[:len(stack)-1]
+		if e.opts.MaxEvents > 0 && g.NumEvents() > e.opts.MaxEvents {
+			// Prune this oversized branch only: smaller graphs elsewhere in
+			// the space are still explored, so the partial result covers
+			// every execution within the event budget.
+			e.truncate(TruncMaxEvents, false)
+			continue
+		}
+		if e.overBudget() {
+			// Under checkpointing g and the rest of the stacks are
+			// captured, so a later run under a roomier budget picks up
+			// exactly here.
+			e.truncate(TruncMemoryBudget, true)
+			stack = append(stack, g)
+			break
+		}
+		key := e.key(g)
+		if !e.admitState(g, key) {
+			continue
+		}
+		e.expand(g, &x)
+		e.settle(g, key, &x)
+		n := len(stack)
+		for _, k := range x.kids {
+			if !e.handOff(k) {
+				stack = append(stack, k)
+			}
+		}
+		slices.Reverse(stack[n:])
+	}
+	slices.Reverse(stack)
+	sh.mu.Lock()
+	sh.pending = append(sh.pending, stack...)
+	sh.mu.Unlock()
 }
 
-// takePending removes and returns the drained frontier. Called between
-// waves (workers quiescent).
-func (sh *shared) takePending() []*eg.Graph {
+// handOff starts a worker on g's subtree when a slot is free. The worker
+// runs under the guard, so a panic in its subtree is recorded as the run's
+// EngineError and the other drivers wind down via the stop flag.
+func (e *explorer) handOff(g *eg.Graph) bool {
+	if e.sh.sem == nil {
+		return false
+	}
+	select {
+	case e.sh.sem <- struct{}{}:
+	default:
+		return false
+	}
+	e.sh.wg.Add(1)
+	go func() {
+		defer func() {
+			<-e.sh.sem
+			e.sh.wg.Done()
+		}()
+		e.guard(func() { e.drive([]*eg.Graph{g}) })
+	}()
+	return true
+}
+
+// overBudget reports whether the heap exceeds Options.MemoryBudget.
+// ReadMemStats stops the world, so it is paced: the first visit (a
+// pre-exceeded budget fails fast and deterministically) and then every
+// memCheckInterval states.
+func (e *explorer) overBudget() bool {
+	if e.opts.MemoryBudget <= 0 {
+		return false
+	}
+	if n := e.sh.visits.Add(1); n != 1 && n%memCheckInterval != 0 {
+		return false
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc > uint64(e.opts.MemoryBudget)
+}
+
+// admitState inserts g's key into the memo, reporting false (a memo hit)
+// when it is already there.
+func (e *explorer) admitState(g *eg.Graph, key string) bool {
+	sh := e.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	p := sh.pending
-	sh.pending = nil
-	return p
+	if sh.memo[key] {
+		sh.res.MemoHits++
+		return false
+	}
+	sh.memo[key] = true
+	sh.res.States++
+	if n := g.NumEvents(); n > sh.res.MaxGraphEvents {
+		sh.res.MaxGraphEvents = n
+	}
+	return true
 }
 
-// fork runs task on a free worker when one exists, inline otherwise.
-// Tasks never block waiting for a slot, so at most Workers goroutines run
-// and exhaustion degrades gracefully to sequential recursion.
-func (e *explorer) fork(task func()) {
-	if e.sh.sem != nil {
-		select {
-		case e.sh.sem <- struct{}{}:
-			e.sh.wg.Add(1)
-			go func() {
-				defer func() {
-					<-e.sh.sem
-					e.sh.wg.Done()
-				}()
-				// The guard keeps a panic in this subtree from killing
-				// the process: it is recorded as the run's EngineError
-				// and the other workers wind down via the stop flag.
-				e.guard(task)
-			}()
-			return
-		default:
+// settle folds x, the expansion of the admitted state g, into the result:
+// its counter delta, and a blocked, failed or complete outcome. The
+// deferred unlock matters for fault containment: a panicking OnBlocked or
+// OnExecution callback must release the lock on its way to the guard, or
+// the recovery path would deadlock on sh.mu.
+func (e *explorer) settle(g *eg.Graph, key string, x *expansion) {
+	sh := e.sh
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.res.Stats.add(&x.d)
+	if x.depViolation != "" {
+		sh.res.DepViolations++
+		if len(sh.res.DepViolationDetails) < maxDepViolationDetails {
+			sh.res.DepViolationDetails = append(sh.res.DepViolationDetails, x.depViolation)
 		}
 	}
-	task()
+	switch x.out {
+	case outBlocked:
+		sh.res.Blocked++
+		if e.opts.OnBlocked != nil {
+			e.opts.OnBlocked(g)
+		}
+	case outError:
+		// g is never mutated once built, so it is the witness itself.
+		x.err.Graph = g
+		sh.res.Errors = append(sh.res.Errors, x.err)
+		if e.opts.StopOnError {
+			sh.stop.Store(true)
+		}
+	case outComplete:
+		e.complete(g, key, x.fs)
+	}
 }
 
-// visit explores all extensions of g. Exploration states are memoized on
-// their semantic key (per-thread events with values, rf and co): replay is
-// deterministic, so two graphs with equal keys have identical futures, and
-// each state — in particular each complete execution — is explored exactly
-// once. The memo is also what guarantees termination: the state space of a
-// bounded program is finite, while revisit chains could otherwise rebuild
-// semantically identical graphs forever.
-func (e *explorer) visit(g *eg.Graph) {
-	if e.stopped() {
-		return
-	}
-	if e.sh.drain.Load() {
-		// A checkpoint is being taken: defer this subtree to the pending
-		// frontier instead of recursing. The construction and consistency
-		// check that produced g already ran (and were counted) in the
-		// caller, and visiting g on resume re-runs none of them — each
-		// unit of work happens exactly once across the cut.
-		e.recordPending(g)
-		return
-	}
-	if n := e.opts.FailAfter; n > 0 && e.sh.faults.Add(1) == int64(n) {
-		// Deterministic fault injection: "the process dies here". FailAfter
-		// makes the run checkpointable, so the end request drains and the
-		// graph in hand is not lost — it heads the pending frontier.
-		e.sh.interrupt()
-		e.recordPending(g)
-		return
-	}
-	if e.opts.MaxEvents > 0 && g.NumEvents() > e.opts.MaxEvents {
-		// Prune this oversized branch only: smaller graphs elsewhere in
-		// the space are still explored, so the partial result covers
-		// every execution within the event budget.
-		e.truncate(TruncMaxEvents, false)
-		return
-	}
-	if e.opts.MemoryBudget > 0 {
-		// ReadMemStats stops the world, so pace it: the first visit (a
-		// pre-exceeded budget fails fast and deterministically) and then
-		// every memCheckInterval states.
-		if n := e.sh.visits.Add(1); n == 1 || n%memCheckInterval == 0 {
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			if ms.HeapAlloc > uint64(e.opts.MemoryBudget) {
-				// Under checkpointing this graph and the rest of the
-				// in-flight frontier are captured, so a later run under a
-				// roomier budget picks up exactly here.
-				e.truncate(TruncMemoryBudget, true)
-				e.recordPending(g)
-				return
-			}
-		}
-	}
-	key := e.key(g)
-	e.sh.mu.Lock()
-	if e.sh.memo[key] {
-		e.sh.res.MemoHits++
-		e.sh.mu.Unlock()
-		return
-	}
-	e.sh.memo[key] = true
-	e.sh.res.States++
-	if n := g.NumEvents(); n > e.sh.res.MaxGraphEvents {
-		e.sh.res.MaxGraphEvents = n
-	}
-	e.sh.mu.Unlock()
-	blocked := false
-	for t := range e.p.Threads {
-		ts := e.tInterp.Start()
-		a := interp.Next(e.p, g, t, e.opts.MaxSteps)
-		e.tInterp.Stop(ts)
-		switch a.Kind {
-		case interp.ActDone:
-			continue
-		case interp.ActBlocked:
-			blocked = true
-			continue
-		case interp.ActError:
-			witness := g.Clone() // outside the lock: cloning can panic
-			e.sh.mu.Lock()
-			e.sh.res.Errors = append(e.sh.res.Errors, ErrorReport{Thread: t, Msg: a.Msg, Graph: witness})
-			e.sh.mu.Unlock()
-			if e.opts.StopOnError {
-				e.sh.stop.Store(true)
-			}
-			return
-		default:
-			if e.opts.CheckDeps && e.static != nil {
-				e.verifyDeps(g, t, a)
-			}
-			e.step(g, t, a)
-			return
-		}
-	}
-	if blocked {
-		// The deferred unlock matters for fault containment: a panicking
-		// OnBlocked callback must release the lock on its way to the
-		// guard, or the recovery path would deadlock on sh.mu.
-		func() {
-			e.sh.mu.Lock()
-			defer e.sh.mu.Unlock()
-			e.sh.res.Blocked++
-			if e.opts.OnBlocked != nil {
-				e.opts.OnBlocked(g)
-			}
-		}()
-		return
-	}
-	e.complete(g, key)
-}
-
-// complete records a finished execution; key is g's canonical key, as
-// visit computed it for the memo. The final state is computed outside the
-// lock (pure graph read); everything else — dedup, counters, key
-// collection and the user callback — runs under it, so OnExecution
-// invocations are serialized even in parallel mode.
-func (e *explorer) complete(g *eg.Graph, key string) {
-	var fs prog.FinalState
-	if e.p.Exists != nil || e.opts.OnExecution != nil {
-		fs = interp.FinalState(e.p, g, e.opts.MaxSteps)
-	}
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
-	if e.opts.MaxExecutions > 0 && e.sh.res.Executions >= e.opts.MaxExecutions {
+// complete records a finished execution with its final state fs; key is
+// g's canonical key, as the driver computed it for the memo. It runs under
+// sh.mu — dedup, counters, key collection and the user callback — so
+// OnExecution invocations are serialized even in parallel mode.
+func (e *explorer) complete(g *eg.Graph, key string, fs prog.FinalState) {
+	sh := e.sh
+	if e.opts.MaxExecutions > 0 && sh.res.Executions >= e.opts.MaxExecutions {
 		return // a parallel worker completed while the cap was being hit
 	}
-	if e.sh.seen != nil {
-		if e.sh.seen[key] {
-			e.sh.res.Duplicates++
+	if sh.seen != nil {
+		if sh.seen[key] {
+			sh.res.Duplicates++
 			return
 		}
-		e.sh.seen[key] = true
+		sh.seen[key] = true
 	}
-	e.sh.res.Executions++
+	sh.res.Executions++
 	if e.p.Exists != nil && e.p.Exists(fs) {
-		e.sh.res.ExistsCount++
+		sh.res.ExistsCount++
 	}
 	if e.opts.CollectKeys {
-		e.sh.res.Keys = append(e.sh.res.Keys, key)
+		sh.res.Keys = append(sh.res.Keys, key)
 	}
 	if e.opts.OnExecution != nil {
 		e.opts.OnExecution(g, fs)
 	}
-	if e.opts.MaxExecutions > 0 && e.sh.res.Executions >= e.opts.MaxExecutions {
-		// Under checkpointing the frontier lands in the final checkpoint,
-		// so a run resumed under a higher bound continues from here.
-		e.sh.truncateLocked(TruncMaxExecutions)
-		e.sh.request(reasonEnd)
+	if e.opts.MaxExecutions > 0 && sh.res.Executions >= e.opts.MaxExecutions {
+		// Under checkpointing the stacks land in the final checkpoint, so
+		// a run resumed under a higher bound continues from here.
+		sh.truncateLocked(TruncMaxExecutions)
+		sh.request(reasonEnd)
 		return
 	}
 	if co := e.opts.Checkpoint; co != nil && co.Sink != nil && co.EveryExecs > 0 &&
-		e.sh.res.Executions%co.EveryExecs == 0 {
-		// Periodic snapshot: the wave loop in Explore emits the checkpoint
-		// at the next quiescent point and resumes from the drained
-		// frontier. The pause costs one wave of deferred recursion — the
-		// T14 experiment measures the overhead against EveryExecs.
-		e.sh.request(reasonCheckpoint)
+		sh.res.Executions%co.EveryExecs == 0 {
+		// Periodic snapshot: the pause loop in Explore emits the
+		// checkpoint once every driver has parked its stack, and resumes
+		// from the parked frontier. The T14 experiment measures the
+		// overhead against EveryExecs.
+		sh.request(reasonCheckpoint)
+	}
+}
+
+// outcome classifies an expanded state.
+type outcome uint8
+
+const (
+	outInner    outcome = iota // has an event to add: the children are its successors
+	outComplete                // every thread is done: a complete execution
+	outBlocked                 // no thread can add an event and some thread is blocked
+	outError                   // a thread failed an assertion
+)
+
+// expansion is what expand computes for one state. The drivers reuse one
+// expansion per stack, so the children slice is recycled.
+type expansion struct {
+	kids []*eg.Graph // the checked children, in visit order (outInner)
+	out  outcome
+	err  ErrorReport     // the assertion failure, without its graph (outError)
+	fs   prog.FinalState // a complete execution's final state, when Exists or OnExecution needs it
+	// d is the counter delta: the checks, sink extensions, revisits and
+	// static prunes the expansion did. depViolation describes a CheckDeps
+	// violation of the state's next action ("" when none).
+	d            Stats
+	depViolation string
+}
+
+// add folds an expansion's counter delta into s.
+func (s *Stats) add(d *Stats) {
+	s.ConsistencyChecks += d.ConsistencyChecks
+	s.SinkExtensions += d.SinkExtensions
+	s.RevisitsTried += d.RevisitsTried
+	s.RevisitsTaken += d.RevisitsTaken
+	s.RevisitsRepairFail += d.RevisitsRepairFail
+	s.RevisitsPorfSkip += d.RevisitsPorfSkip
+	s.StaticPrunedRf += d.StaticPrunedRf
+	s.StaticPrunedCo += d.StaticPrunedCo
+	s.StaticPrunedScans += d.StaticPrunedScans
+}
+
+// expand computes g's successors into x: it replays the threads until one
+// has an event to add and builds every checked child of that step — for
+// each rf or co candidate the admitted child, followed by the children of
+// that child's backward revisits, with a chain steal's fallback revisit in
+// its candidate's place. Each revisit is a function of the admitted child
+// alone, so listing a child's revisit children before its subtree is
+// explored changes nothing the search computes. expand admits nothing to
+// the memo, takes no lock, starts no goroutine and runs no user callback.
+func (e *explorer) expand(g *eg.Graph, x *expansion) {
+	*x = expansion{kids: x.kids[:0]}
+	var fs *prog.FinalState
+	if e.p.Exists != nil || e.opts.OnExecution != nil {
+		fs = &x.fs
+	}
+	ts := e.tInterp.Start()
+	t, a, blocked := interp.Scan(e.p, g, e.opts.MaxSteps, fs)
+	e.tInterp.Stop(ts)
+	switch {
+	case t < 0 && blocked:
+		x.out = outBlocked
+	case t < 0:
+		x.out = outComplete
+	case a.Kind == interp.ActError:
+		x.out, x.err = outError, ErrorReport{Thread: t, Msg: a.Msg}
+	default:
+		if e.opts.CheckDeps && e.static != nil {
+			x.depViolation = e.verifyDeps(g, t, a)
+		}
+		e.step(g, t, a, x)
 	}
 }
 
 // consistent checks g under the model, counting (and phase-timing) the
 // check.
-func (e *explorer) consistent(g *eg.Graph) bool {
-	e.sh.mu.Lock()
-	e.sh.res.ConsistencyChecks++
-	e.sh.mu.Unlock()
+func (e *explorer) consistent(g *eg.Graph, x *expansion) bool {
+	x.d.ConsistencyChecks++
 	ts := e.tConsist.Start()
 	v := eg.GetView(g)
 	ok := e.opts.Model.Consistent(v)
@@ -769,48 +835,42 @@ func (e *explorer) consistent(g *eg.Graph) bool {
 	return ok
 }
 
-// admit decides whether a forward extension g2 of a visited graph is
-// explored. Every visited graph is consistent, so when the new event is a
-// sink — po-maximal, with no readers and no co or fr successor — no axiom
-// of any model gains an edge out of it and g2 is consistent too (the
-// extension contract on memmodel.Model): it is admitted without a model
-// check and counted in SinkExtensions. Any other extension must pass the
-// check.
-func (e *explorer) admit(g2 *eg.Graph, sink bool) bool {
-	if !sink {
-		return e.consistent(g2)
+// admit decides whether a forward extension g2 of a visited graph is a
+// child, and adds it to x when it is. Every visited graph is consistent,
+// so when the new event is a sink — po-maximal, with no readers and no co
+// or fr successor — no axiom of any model gains an edge out of it and g2
+// is consistent too (the extension contract on memmodel.Model): it is
+// admitted without a model check and counted in SinkExtensions. Any other
+// extension must pass the check.
+func (e *explorer) admit(g2 *eg.Graph, sink bool, x *expansion) bool {
+	if sink {
+		x.d.SinkExtensions++
+		if e.auditSink != nil {
+			e.auditSink(g2)
+		}
+	} else if !e.consistent(g2, x) {
+		return false
 	}
-	e.count(func(s *Stats) { s.SinkExtensions++ })
-	if e.auditSink != nil {
-		e.auditSink(g2)
-	}
+	x.kids = append(x.kids, g2)
 	return true
 }
 
-// count applies a Stats mutation under the shared lock.
-func (e *explorer) count(f func(*Stats)) {
-	e.sh.mu.Lock()
-	f(&e.sh.res.Stats)
-	e.sh.mu.Unlock()
-}
-
-// step handles thread t's next action on g. A fence is always a sink
+// step expands thread t's next action on g. A fence is always a sink
 // extension (see admit): it orders events around it, and nothing follows
 // it in its thread.
-func (e *explorer) step(g *eg.Graph, t int, a interp.Action) {
+func (e *explorer) step(g *eg.Graph, t int, a interp.Action, x *expansion) {
 	id := eg.EvID{T: t, I: g.ThreadLen(t)}
 	switch {
 	case a.Kind == interp.ActFence:
 		g2 := g.Clone()
 		g2.Add(a.MakeEvent(id, 0))
-		e.admit(g2, true)
-		e.visit(g2)
+		e.admit(g2, true, x)
 
 	case a.Reads():
-		e.stepRead(g, id, a)
+		e.stepRead(g, id, a, x)
 
 	case a.Kind == interp.ActStore:
-		e.stepWrite(g, id, a)
+		e.stepWrite(g, id, a, x)
 
 	default:
 		panic("core: unhandled action " + a.Kind.String())
@@ -833,20 +893,17 @@ func (e *explorer) step(g *eg.Graph, t int, a interp.Action) {
 // right after that write is co-maximal itself. It is admitted without a
 // model check (see admit), so every read has at least one rf option and
 // Stats.StuckReads is 0 by construction. Every other candidate is checked.
-func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
+func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action, x *expansion) {
 	ws := g.WritesTo(a.Loc) // coherence order, init first
 	if len(ws) > 1 && e.pruneRF(a.Loc) {
 		// Thread-local location: every write in ws shares this read's
 		// thread and is po-before it, so coherence admits exactly the
 		// co-maximal rf source (the last element); see staticprune.go.
-		e.count(func(s *Stats) { s.StaticPrunedRf += len(ws) - 1 })
+		x.d.StaticPrunedRf += len(ws) - 1
 		e.tracePrune("rf", len(ws)-1)
 		ws = ws[len(ws)-1:]
 	}
 	for i, w := range ws {
-		if e.stopped() {
-			return
-		}
 		ev := a.MakeEvent(id, g.ValueOf(w))
 		g2 := g.Clone()
 		g2.Add(ev)
@@ -864,40 +921,29 @@ func (e *explorer) stepRead(g *eg.Graph, id eg.EvID, a interp.Action) {
 				pre := g2.Clone()
 				g2.SetRF(u, id)
 				if !interp.RepairAll(e.p, g2, u, e.opts.MaxSteps) {
-					e.revisit(pre, id, u)
+					e.revisit(pre, id, u, x)
 					continue
 				}
 			}
 		}
-		e.fork(func() {
-			if !e.admit(g2, sink) {
-				return
-			}
-			e.visit(g2)
-			if ev.Kind == eg.KUpdate {
-				// The update's write part may backward-revisit plain
-				// reads; computed per rf-branch so the kept prefix
-				// includes this branch's rf source.
-				e.maybeRevisitsFrom(g2, id, a.Loc)
-			}
-		})
+		if e.admit(g2, sink, x) && ev.Kind == eg.KUpdate {
+			// The update's write part may backward-revisit plain reads;
+			// computed per rf-branch so the kept prefix includes this
+			// branch's rf source.
+			e.revisitsFrom(g2, id, a.Loc, x)
+		}
 	}
 }
 
 // updateReading returns the update event that reads from w at loc, if any
 // (at most one exists in an atomicity-consistent graph).
-func updateReading(g *eg.Graph, loc eg.Loc, w eg.EvID) (eg.EvID, bool) {
-	var found eg.EvID
-	ok := false
-	g.ForEach(func(ev *eg.Event) {
-		if ev.Kind == eg.KUpdate && ev.Loc == loc {
-			if src, has := g.RF(ev.ID); has && src == w {
-				found = ev.ID
-				ok = true
-			}
+func updateReading(g *eg.Graph, loc eg.Loc, w eg.EvID) (u eg.EvID, ok bool) {
+	g.ForEachReader(w, func(r eg.EvID) {
+		if ev := g.At(r); ev.Kind == eg.KUpdate && ev.Loc == loc {
+			u, ok = r, true
 		}
 	})
-	return found, ok
+	return u, ok
 }
 
 // stepWrite branches over coherence positions; each consistent placement
@@ -905,32 +951,23 @@ func updateReading(g *eg.Graph, loc eg.Loc, w eg.EvID) (eg.EvID, bool) {
 // prefix reflects this branch's coherence binding). The co-maximal
 // placement (pos == n) is a sink extension, admitted without a model
 // check (see admit).
-func (e *explorer) stepWrite(g *eg.Graph, id eg.EvID, a interp.Action) {
+func (e *explorer) stepWrite(g *eg.Graph, id eg.EvID, a interp.Action, x *expansion) {
 	n := len(g.CoLoc(a.Loc))
 	start := 0
 	if n > 0 && e.pruneCo(a.Loc) {
 		// Single-writer location: every existing write shares this
 		// write's thread and is po-before it, so the only coherent
 		// placement is co-maximal; see staticprune.go.
-		e.count(func(s *Stats) { s.StaticPrunedCo += n })
+		x.d.StaticPrunedCo += n
 		e.tracePrune("co", n)
 		start = n
 	}
 	for pos := start; pos <= n; pos++ {
-		if e.stopped() {
-			return
-		}
-		ev := a.MakeEvent(id, 0)
 		g2 := g.Clone()
-		g2.Add(ev)
+		g2.Add(a.MakeEvent(id, 0))
 		g2.CoInsert(a.Loc, pos, id)
-		sink := pos == n
-		e.fork(func() {
-			if !e.admit(g2, sink) {
-				return
-			}
-			e.visit(g2)
-			e.maybeRevisitsFrom(g2, id, a.Loc)
-		})
+		if e.admit(g2, pos == n, x) {
+			e.revisitsFrom(g2, id, a.Loc, x)
+		}
 	}
 }

@@ -177,7 +177,7 @@ func TestCheckpointOnPreCancelledContext(t *testing.T) {
 }
 
 // TestCheckpointOnMidRunCancel: cancelling from inside OnExecution — a
-// deterministic trigger point, though the watcher lands the drain
+// deterministic trigger point, though the watcher lands the pause
 // asynchronously — yields a resumable checkpoint; chaining resumes until
 // completion recovers the full exploration.
 func TestCheckpointOnMidRunCancel(t *testing.T) {
@@ -305,8 +305,8 @@ func TestCheckpointOnMaxEvents(t *testing.T) {
 	}
 }
 
-// TestCheckpointOnMemoryBudget: an unmeetable budget drains the whole
-// in-flight frontier into the checkpoint before anything is dropped, so
+// TestCheckpointOnMemoryBudget: an unmeetable budget parks the whole
+// in-flight frontier in the checkpoint before anything is dropped, so
 // a resume without the budget (it is transient, not part of the
 // checkpoint signature) completes the exploration — and, since nothing
 // was lost, the result is exhaustive, not truncated.
@@ -395,7 +395,7 @@ func TestNoCheckpointOnHardStop(t *testing.T) {
 
 // TestCancelDuringCheckpointSinkStopsRun: a cancellation that lands while
 // a periodic checkpoint sink runs must end the run at that pause, not be
-// dropped when the wave loop resumes. The sink cancels and then waits, so
+// dropped when the pause loop resumes. The sink cancels and then waits, so
 // the watcher has requested the end before the sink returns; the run must
 // stop with the executions of the first checkpoint and hand back a final
 // checkpoint that resumes to the straight run's totals.

@@ -71,7 +71,8 @@ func TestParallelMatchesSequentialCorpus(t *testing.T) {
 }
 
 // TestParallelMatchesSequentialGen repeats the comparison on the larger
-// generated families, where forking actually spreads work.
+// generated families, where handing children to workers actually spreads
+// work.
 func TestParallelMatchesSequentialGen(t *testing.T) {
 	progs := []*prog.Program{
 		gen.SBN(4), gen.LBN(3), gen.MPN(3), gen.IncN(2, 2),

@@ -14,15 +14,15 @@ import (
 //
 // Snapshots use the same pause as checkpoints (checkpoint.go): the run's
 // watcher goroutine ticks at the snapshot cadence and requests a progress
-// pause, the current wave unwinds with its deferred graphs parked in
-// pending, and the wave loop — workers quiescent, nothing in flight —
-// reads the counters race-free, emits the snapshot and resumes from the
-// drained frontier. Observation therefore never changes *what* is
-// explored, only inserts pauses. A pause asked for progress emits a
-// snapshot and nothing else; when a checkpoint falls due in the same
-// wave, one pause serves both. Progress and Trace are transient knobs
-// like Workers: they are excluded from the checkpoint options signature,
-// so observed and unobserved legs of a resume chain interoperate.
+// pause, every driver parks its stack between two states, and the pause
+// loop — nothing in flight — reads the counters race-free, emits the
+// snapshot and resumes from the parked frontier. Observation therefore
+// never changes *what* is explored, only inserts pauses. A pause asked for
+// progress emits a snapshot and nothing else; when a checkpoint falls due
+// at the same pause, one pause serves both. Progress and Trace are
+// transient knobs like Workers: they are excluded from the checkpoint
+// options signature, so observed and unobserved legs of a resume chain
+// interoperate.
 
 // DefaultProgressEvery is the snapshot cadence used when
 // ProgressOptions.Every is unset; EXPERIMENTS.md T15 bounds the whole
@@ -33,12 +33,12 @@ const DefaultProgressEvery = time.Second
 // (Options.Progress).
 type ProgressOptions struct {
 	// Every is the wall-clock snapshot cadence (≤0: DefaultProgressEvery):
-	// a ticker requests a pause every Every, and the snapshot lands at the
-	// next quiescent point, one wave of deferred recursion later. Ticks
-	// that fall while a pause is pending merge into it.
+	// a ticker requests a pause every Every, and the snapshot lands once
+	// every driver has parked, before its next state. Ticks that fall
+	// while a pause is pending merge into it.
 	Every time.Duration
 	// Sink receives each snapshot. It runs on the exploration goroutine
-	// between waves — workers are quiescent — so it may read the snapshot
+	// during a pause — every driver parked — so it may read the snapshot
 	// freely without racing the explorer; it should return quickly, since
 	// exploration is paused for its duration. The final snapshot of the
 	// run (Final set, counters equal to the Result) is always delivered,
@@ -78,8 +78,8 @@ func (e *explorer) initObs() {
 	}
 }
 
-// snapshotProgress builds one snapshot from the quiescent explorer state.
-// Called only on the Explore goroutine between waves (or after the run).
+// snapshotProgress builds one snapshot from the parked explorer state.
+// Called only on the Explore goroutine during a pause (or after the run).
 func (e *explorer) snapshotProgress(frontier int, final bool) obs.ProgressSnapshot {
 	e.sh.mu.Lock()
 	s := e.sh.res.Stats

@@ -16,7 +16,7 @@ import (
 )
 
 // progressWorkload returns a program big enough to straddle several
-// 1ms-cadence snapshot waves but small enough for -race CI: three threads
+// 1ms-cadence snapshot pauses but small enough for -race CI: three threads
 // of plain stores to one location (the coherence-placement blow-up).
 func progressWorkload() *prog.Program {
 	b := prog.NewBuilder("progress-workload")
@@ -119,7 +119,7 @@ func TestProgressSnapshotsParallel(t *testing.T) {
 	}
 	checkMonotone(t, snaps)
 	checkFinalMatchesResult(t, snaps, res)
-	// The sink runs between waves on the Explore goroutine, so appending
+	// The sink runs during a pause on the Explore goroutine, so appending
 	// without a lock above is safe; at 1ms cadence this workload must
 	// yield periodic snapshots, not just the final one.
 	if len(snaps) < 2 {
@@ -134,7 +134,7 @@ func TestProgressSnapshotsParallel(t *testing.T) {
 
 // TestProgressComposesWithCheckpoint runs progress and periodic
 // checkpoints together under workers: both sinks must fire and the run
-// must terminate (no drain-flag deadlock) with intact totals.
+// must terminate (no pause deadlock) with intact totals.
 func TestProgressComposesWithCheckpoint(t *testing.T) {
 	m, _ := memmodel.ByName("sc")
 	p := progressWorkload()

@@ -88,8 +88,8 @@ func Contain(op string, p *prog.Program, model string, fn func() error) (err err
 }
 
 // guard runs task and converts a panic into the shared EngineError,
-// stopping the exploration. It is installed at the root of every worker
-// goroutine and around the top-level visit, so a panic anywhere in the
+// stopping the exploration. It is installed at the root of every driver —
+// the Explore goroutine's and each worker's — so a panic anywhere in the
 // engine — graph code, relation algebra, the interpreter, a model's
 // consistency check, or a user callback — is contained to this Explore
 // call. Only the first panic is kept; later ones (other workers tripping
@@ -104,7 +104,7 @@ func (e *explorer) guard(task func()) {
 }
 
 // capturePanic records the first panic into the shared state and raises
-// the stop flag so every branch loop winds down. Mutex-protected state is
+// the stop flag so every driver winds down. Mutex-protected state is
 // safe to touch here: every callback invocation under sh.mu releases the
 // lock via defer before the panic unwinds to a guard.
 func (e *explorer) capturePanic(r any) {

@@ -31,7 +31,7 @@ func corruptedProgram(t *testing.T, nonce int64) *prog.Program {
 	}
 	// Corrupt the store after the load: the panic fires only once
 	// exploration has branched past the read, exercising recovery deep in
-	// the DFS (and, with Workers>1, inside forked goroutines).
+	// the DFS (and, with Workers>1, inside worker goroutines).
 	p.Threads[1][1].Op = prog.InstrOp(200)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("corrupted program must still validate: %v", err)

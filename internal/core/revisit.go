@@ -9,13 +9,19 @@ import (
 	"hmc/internal/prog"
 )
 
-// revisitsFrom attempts a backward revisit of every same-location read by
-// the write w — which is already part of g, carrying its rf (if an update)
-// and coherence position. Revisits are computed per forward branch of w's
-// addition, so the kept prefix reflects exactly the bindings of this
-// branch. The reads are visited in (thread, index) order straight off g,
-// which no revisit mutates.
-func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
+// revisitsFrom adds to x the child of every backward revisit of a
+// same-location read by the write w — which is already part of g, carrying
+// its rf (if an update) and coherence position — unless static analysis
+// proves the scan vacuous (staticprune.go). Revisits are computed per
+// forward branch of w's addition, so the kept prefix reflects exactly the
+// bindings of this branch. The reads are taken in (thread, index) order
+// straight off g, which no revisit mutates.
+func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc, x *expansion) {
+	if e.pruneRevisitScan(loc) {
+		x.d.StaticPrunedScans++
+		e.tracePrune("scan", 1)
+		return
+	}
 	for t := 0; t < g.NumThreads(); t++ {
 		for i := 0; i < g.ThreadLen(t); i++ {
 			r := eg.EvID{T: t, I: i}
@@ -25,17 +31,15 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 			if src, ok := g.RF(r); ok && src == w {
 				continue // already bound to w (e.g. by a chain steal): a no-op
 			}
-			if e.stopped() {
-				return
-			}
-			e.fork(func() { e.revisit(g, w, r) })
+			e.revisit(g, w, r, x)
 		}
 	}
 }
 
 // revisit performs one backward revisit: the write w (already in g)
-// becomes the rf source of the existing read r. The graph is restricted to
-// the kept set
+// becomes the rf source of the existing read r, and the revisited graph,
+// when there is one, is added to x. The graph is restricted to the kept
+// set
 //
 //	V = prefix(w) ∪ prefix(r) ∪ {r}
 //
@@ -57,21 +61,18 @@ func (e *explorer) revisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
 //     r survive, which is what makes po∪rf-cyclic — load-buffering —
 //     executions reachable under hardware memory models;
 //  2. the resulting graph is consistent under the memory model;
-//  3. the resulting exploration state is new (the explorer's state memo;
-//     see explorer.visit). Different branches collapse into the same
-//     revisited state because the revisit erases r's binding and deletes
-//     events; the memo admits exactly one of them.
+//  3. the resulting exploration state is new (the drivers' state memo;
+//     see drive). Different branches collapse into the same revisited
+//     state because the revisit erases r's binding and deletes events; the
+//     memo admits exactly one of them.
 //
 // When 0, 1 or 2 fails, a second phase deletes the kept events whose
 // existence hangs on r (pruneTainted) and tries once more; a revisit with
 // no kept control or address dependency has nothing to delete and is
 // rejected without that retry. The deleted events are closed under
 // po-successors, so phase 2's kept set is again a cut.
-func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
-	if e.stopped() {
-		return
-	}
-	e.count(func(s *Stats) { s.RevisitsTried++ })
+func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID, x *expansion) {
+	x.d.RevisitsTried++
 	e.traceRevisit("revisit-tried", w, r)
 
 	// Phase 1: keep everything the revisit does not causally erase and
@@ -82,7 +83,7 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 	defer cutPool.Put(cut)
 	keep := keepSet(g, w, r, cut)
 	e.tRevisit.Stop(ts)
-	if e.rebindAndVisit(g, keep, w, r) {
+	if e.rebind(g, keep, w, r, x) {
 		return
 	}
 	// Phase 2: when replay diverged structurally — or the repaired graph
@@ -93,7 +94,7 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 	// or address dependency nothing is prunable, and phase 2 would rebind
 	// the same keep set: the revisit is rejected outright.
 	if !existenceDeps(g, keep, r) {
-		e.count(func(s *Stats) { s.RevisitsRepairFail++ })
+		x.d.RevisitsRepairFail++
 		return
 	}
 	ts2 := e.tRevisit.Start()
@@ -103,34 +104,35 @@ func (e *explorer) revisit(g *eg.Graph, w, r eg.EvID) {
 		// Contradictory (w or r itself would go), or nothing prunable: the
 		// divergence is a genuine value cycle (out-of-thin-air), which
 		// constructive exploration rejects.
-		e.count(func(s *Stats) { s.RevisitsRepairFail++ })
+		x.d.RevisitsRepairFail++
 		return
 	}
-	if !e.rebindAndVisit(g, pruned, w, r) {
-		e.count(func(s *Stats) { s.RevisitsRepairFail++ })
+	if !e.rebind(g, pruned, w, r, x) {
+		x.d.RevisitsRepairFail++
 	}
 }
 
-// rebindAndVisit restricts g to keep, rebinds r to w, repairs and — when
-// replay converges — checks consistency and explores. It reports whether
-// the rebound graph both repaired and passed the consistency check. A
-// rebind that closes a coherence cycle is rejected before any of that.
-func (e *explorer) rebindAndVisit(g *eg.Graph, keep []int, w, r eg.EvID) bool {
+// rebind restricts g to keep, rebinds r to w, repairs and — when replay
+// converges — checks consistency and adds the result to x. It reports
+// whether the rebound graph both repaired and passed the consistency
+// check. A rebind that closes a coherence cycle is rejected before any of
+// that.
+func (e *explorer) rebind(g *eg.Graph, keep []int, w, r eg.EvID, x *expansion) bool {
 	if e.opts.PorfOnlyRevisits {
 		// Ablation: RC11-style revisits delete everything po-after r.
 		// If a kept event is po-after r the revisit is skipped entirely
 		// (under porf-acyclic models it would be inconsistent anyway).
 		for i := r.I + 1; i < keep[r.T]; i++ {
 			if (eg.EvID{T: r.T, I: i}) != w {
-				e.count(func(s *Stats) { s.RevisitsPorfSkip++ })
+				x.d.RevisitsPorfSkip++
 				return true
 			}
 		}
 	}
 
 	// The revisit timer covers the cycle pre-check, restriction, rebinding
-	// and repair — the revisit machinery itself. The consistency check and
-	// any nested exploration are attributed to their own phases.
+	// and repair — the revisit machinery itself. The consistency check is
+	// attributed to its own phase.
 	ts := e.tRevisit.Start()
 	if closesCoherenceCycle(e.p, g, keep, w, r) {
 		e.tRevisit.Stop(ts)
@@ -139,15 +141,12 @@ func (e *explorer) rebindAndVisit(g *eg.Graph, keep []int, w, r eg.EvID) bool {
 	}
 	g2, repaired := rebindRepaired(e.p, g, keep, w, r, e.opts.MaxSteps)
 	e.tRevisit.Stop(ts)
-	if !repaired {
+	if !repaired || !e.consistent(g2, x) {
 		return false
 	}
-	if !e.consistent(g2) {
-		return false
-	}
-	e.count(func(s *Stats) { s.RevisitsTaken++ })
+	x.d.RevisitsTaken++
 	e.traceRevisit("revisit-taken", w, r)
-	e.fork(func() { e.visit(g2) })
+	x.kids = append(x.kids, g2)
 	return true
 }
 

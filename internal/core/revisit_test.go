@@ -13,12 +13,13 @@ import (
 )
 
 // forEachRevisitPair enumerates the states exploration of p under m
-// reaches (the same successors visit recurses into, memoized on their
-// key, at most maxStates of them when positive) and, in every state,
+// reaches (the children expand lists, memoized on their key, at most
+// maxStates of them when positive) and, in every state,
 // calls fn on every same-location pair of a write w and a read r not
 // already bound to it — every backward revisit the explorer could try.
 func forEachRevisitPair(p *prog.Program, m memmodel.Model, maxStates int, fn func(g *eg.Graph, w, r eg.EvID)) {
-	e := &explorer{p: p, opts: Options{Model: m}, sh: &shared{res: &Result{}}}
+	e := &explorer{p: p, opts: Options{Model: m}}
+	var x expansion
 	seen := map[string]bool{}
 	stack := []*eg.Graph{eg.NewGraph(len(p.Threads), p.NumLocs)}
 	for len(stack) > 0 && (maxStates <= 0 || len(seen) < maxStates) {
@@ -49,8 +50,8 @@ func forEachRevisitPair(p *prog.Program, m memmodel.Model, maxStates int, fn fun
 				fn(g, w, r)
 			}
 		}
-		kids, _ := e.successors(g)
-		stack = append(stack, kids...)
+		e.expand(g, &x)
+		stack = append(stack, x.kids...)
 	}
 }
 

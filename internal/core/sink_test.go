@@ -2,29 +2,43 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"hmc/internal/eg"
 	"hmc/internal/gen"
+	"hmc/internal/interp"
 	"hmc/internal/litmus"
 	"hmc/internal/memmodel"
 	"hmc/internal/prog"
 )
 
 // sinkAudit is the outcome of exploring one program with the full model
-// check run on every sink extension.
+// check run on every sink extension, and with the final state of every
+// complete execution compared against interp.FinalState.
 type sinkAudit struct {
 	audited int    // sink extensions the seam saw
 	failed  int    // of them, how many the model rejects
 	first   string // the first rejected graph, for the report
+	finals  int    // complete executions whose final state was compared
+	badFs   string // the first final state that differs from the oracle's
 }
 
 // auditSinks explores p under opts with the auditSink seam calling
 // opts.Model.Consistent on every sink extension the explorer admits
-// without a check. The run is sequential, so the seam needs no lock.
+// without a check. An OnExecution callback compares the final state the
+// explorer kept from its completing replay with interp.FinalState, which
+// replays every thread afresh. The run is sequential, so neither needs a
+// lock.
 func auditSinks(t *testing.T, p *prog.Program, opts Options) sinkAudit {
 	t.Helper()
 	var a sinkAudit
+	opts.OnExecution = func(g *eg.Graph, fs prog.FinalState) {
+		a.finals++
+		if want := interp.FinalState(p, g, opts.MaxSteps); a.badFs == "" && !sameFinalState(fs, want) {
+			a.badFs = fmt.Sprintf("final state %+v, interp.FinalState %+v, on\n%s", fs, want, g)
+		}
+	}
 	e := newExplorer(p, opts)
 	e.auditSink = func(g *eg.Graph) {
 		a.audited++
@@ -35,18 +49,31 @@ func auditSinks(t *testing.T, p *prog.Program, opts Options) sinkAudit {
 			}
 		}
 	}
-	e.visit(eg.NewGraph(len(p.Threads), p.NumLocs))
-	e.sh.wg.Wait()
+	e.drive([]*eg.Graph{eg.NewGraph(len(p.Threads), p.NumLocs)})
 	if got := e.sh.res.SinkExtensions; got != a.audited {
 		t.Fatalf("%s under %s: the seam saw %d sink extensions, Stats count %d",
 			p.Name, opts.Model.Name(), a.audited, got)
 	}
+	if got := e.sh.res.Executions; got != a.finals {
+		t.Fatalf("%s under %s: %d final states compared, %d executions",
+			p.Name, opts.Model.Name(), a.finals, got)
+	}
 	return a
 }
 
-// failure describes the sink extensions the model rejected, or is empty
-// when it rejected none.
+// sameFinalState compares two final states value by value (an empty
+// register file equals a nil one).
+func sameFinalState(a, b prog.FinalState) bool {
+	return slices.Equal(a.Mem, b.Mem) && slices.EqualFunc(a.Regs, b.Regs, slices.Equal[[]int64])
+}
+
+// failure describes the sink extensions the model rejected and a final
+// state that differs from the oracle's, or is empty when there are none.
 func (a sinkAudit) failure(p *prog.Program, opts Options) string {
+	if a.badFs != "" {
+		return fmt.Sprintf("%s under %s (static=%v): %s\nprogram:\n%s",
+			p.Name, opts.Model.Name(), opts.StaticAnalysis, a.badFs, p)
+	}
 	if a.failed == 0 {
 		return ""
 	}
@@ -62,6 +89,8 @@ func (a sinkAudit) failure(p *prog.Program, opts Options) string {
 // corpus, the standard families (with and without static pruning) and 500
 // random programs is run through the full check, under all 8 models. It is
 // also why Stats.StuckReads is 0: the co-maximal rf source is always there.
+// On the same inputs, the final state the explorer keeps from the replay
+// that found an execution complete must equal interp.FinalState's.
 func TestPropSinkExtensionsPassFullCheck(t *testing.T) {
 	type input struct {
 		p      *prog.Program
@@ -79,22 +108,23 @@ func TestPropSinkExtensionsPassFullCheck(t *testing.T) {
 	for seed := int64(0); seed < 500; seed++ {
 		inputs = append(inputs, input{p: gen.Random(seed)})
 	}
-	audited := 0
+	audited, finals := 0, 0
 	for _, in := range inputs {
 		for _, m := range memmodel.All() {
 			opts := Options{Model: m, StaticAnalysis: in.static}
 			a := auditSinks(t, in.p, opts)
 			audited += a.audited
+			finals += a.finals
 			if msg := a.failure(in.p, opts); msg != "" {
 				t.Fatal(msg)
 			}
 		}
 	}
-	if audited == 0 {
-		t.Fatal("no sink extension reached the seam: the property is vacuous")
+	if audited == 0 || finals == 0 {
+		t.Fatalf("%d sink extensions and %d final states reached the checks: the property is vacuous", audited, finals)
 	}
-	t.Logf("%d sink extensions over %d programs × %d models, every one consistent",
-		audited, len(inputs), len(memmodel.All()))
+	t.Logf("%d sink extensions over %d programs × %d models, every one consistent; %d final states equal the oracle's",
+		audited, len(inputs), len(memmodel.All()), finals)
 }
 
 // coMaxRfeBanned is a deliberately non-extensible model: SC, except that

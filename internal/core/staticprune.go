@@ -73,33 +73,17 @@ func (e *explorer) pruneRevisitScan(loc eg.Loc) bool {
 	return e.static.Foot.ThreadLocal(loc) || e.static.Foot.NeverRead(loc)
 }
 
-// maybeRevisitsFrom runs the backward-revisit scan unless static analysis
-// proves it vacuous.
-func (e *explorer) maybeRevisitsFrom(g *eg.Graph, w eg.EvID, loc eg.Loc) {
-	if e.pruneRevisitScan(loc) {
-		e.count(func(s *Stats) { s.StaticPrunedScans++ })
-		e.tracePrune("scan", 1)
-		return
-	}
-	e.revisitsFrom(g, w, loc)
-}
-
 // verifyDeps checks one action's dynamic taints against the static
-// dependency sets — the CheckDeps sanitizer. Violations are counted (and
-// sampled) but do not stop exploration: the sanitizer observes, the
-// tests assert the count stays zero.
-func (e *explorer) verifyDeps(g *eg.Graph, t int, a interp.Action) {
+// dependency sets — the CheckDeps sanitizer — and describes a violation
+// ("" when there is none). Violations are counted (and sampled) but do not
+// stop exploration: the sanitizer observes, the tests assert the count
+// stays zero.
+func (e *explorer) verifyDeps(g *eg.Graph, t int, a interp.Action) string {
 	err := e.static.CheckDeps(t, a.PC, a.Addr, a.Data, a.Ctrl, func(id eg.EvID) int {
 		return g.At(id).PC
 	})
 	if err == nil {
-		return
+		return ""
 	}
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
-	e.sh.res.DepViolations++
-	if len(e.sh.res.DepViolationDetails) < maxDepViolationDetails {
-		e.sh.res.DepViolationDetails = append(e.sh.res.DepViolationDetails,
-			fmt.Sprintf("%s (action %v)", err, a.Kind))
-	}
+	return fmt.Sprintf("%s (action %v)", err, a.Kind)
 }

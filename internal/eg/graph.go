@@ -98,8 +98,8 @@ func (g *Graph) NumEvents() int {
 // sides give up ownership — in-place patches like SetEventVal and slice
 // appends into shared backing arrays would otherwise leak between the two
 // graphs. Clone must only be called by a goroutine with exclusive write
-// access to g (the explorer clones before forking, never on a shared
-// graph).
+// access to g (the explorer clones a state it expands, never a graph
+// another worker may be cloning at the same time).
 func (g *Graph) Clone() *Graph {
 	clear(g.own)
 	c := newShell(len(g.threads), g.numLocs)

@@ -521,8 +521,8 @@ func T9Robustness(opts Options) (*Table, error) {
 }
 
 // T10Parallel measures parallel exploration: the same state space explored
-// with 1, 2, 4 and 8 workers. Subtrees fork onto free workers, the state
-// memo is shared, and the run asserts the execution count is identical at
+// with 1, 2, 4 and 8 workers. Each worker hands children to free workers
+// and keeps the rest on its own stack, the state memo is shared, and the run asserts the execution count is identical at
 // every width — speedup without losing optimality.
 func T10Parallel(opts Options) (*Table, error) {
 	widths := []int{1, 2, 4, 8}

@@ -38,8 +38,8 @@
 // Replay takes its register file, taint table and taint sets from a pool,
 // so a replay that consumes events allocates nothing; only the dependency
 // sets of the action Next returns (which become an event's) are fresh
-// memory. Actions carry no registers: FinalState copies a finished
-// thread's register file itself.
+// memory. Actions carry no registers: Scan hands over a complete
+// execution's register files, and FinalState copies them itself.
 package interp
 
 import (
@@ -172,6 +172,49 @@ func Next(p *prog.Program, g *eg.Graph, t int, maxSteps int) Action {
 	return a
 }
 
+// Scan replays the threads of g in order and stops at the first one whose
+// next action adds an event or fails an assertion, returning that thread,
+// its action, and whether a thread before it is blocked. When no thread has
+// such an action it returns t = -1. If then no thread is blocked either, g
+// is a complete execution, and a non-nil fs receives its final state (what
+// FinalState computes) read off this same replay: each done thread's
+// register file is swapped out of the scratch, not copied, until the scan
+// knows whether every thread is done.
+func Scan(p *prog.Program, g *eg.Graph, maxSteps int, fs *prog.FinalState) (t int, a Action, blocked bool) {
+	s := scratchPool.Get().(*scratch)
+	defer s.release()
+	n := len(p.Threads)
+	if fs != nil && len(s.final) < n {
+		s.final = make([][]int64, n)
+	}
+	for t = 0; t < n; t++ {
+		act, _, ok := s.replay(p, g, t, maxSteps, false, nil)
+		if !ok {
+			panic("interp: unreachable: strict replay reported divergence")
+		}
+		switch act.Kind {
+		case ActDone:
+			if fs != nil {
+				s.regs, s.final[t] = s.final[t], s.regs
+			}
+		case ActBlocked:
+			blocked = true
+		default:
+			return t, act, blocked
+		}
+	}
+	if fs != nil && !blocked {
+		*fs = prog.FinalState{Mem: make([]int64, p.NumLocs), Regs: make([][]int64, n)}
+		for l := range fs.Mem {
+			fs.Mem[l] = g.ValueOf(g.CoMax(eg.Loc(l)))
+		}
+		for t := range fs.Regs {
+			fs.Regs[t] = slices.Clone(s.final[t])
+		}
+	}
+	return -1, Action{}, blocked
+}
+
 // Repair re-replays thread t, patching stale written values and CAS kinds
 // left behind by a revisit. It returns whether anything was patched and
 // whether the thread replays to a structurally identical event sequence.
@@ -184,14 +227,16 @@ func Repair(p *prog.Program, g *eg.Graph, t int, maxSteps int) (changed, ok bool
 
 // scratch is the pooled working memory of replay: the register file, the
 // per-register taint sets and the arena those sets live in, plus
-// RepairAll's dirty-thread set. A taint set is written once and then only
-// read, so registers share sets freely; the arena is reset per replay,
-// which is why nothing that escapes into an Action may alias it.
+// RepairAll's dirty-thread set and the register files Scan sets aside. A
+// taint set is written once and then only read, so registers share sets
+// freely; the arena is reset per replay, which is why nothing that escapes
+// into an Action may alias it.
 type scratch struct {
 	regs   []int64
 	taints [][]eg.EvID
 	ids    []eg.EvID
 	dirty  []bool
+	final  [][]int64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -214,6 +259,8 @@ func (s *scratch) release() {
 func (s *scratch) reset(n int) {
 	if cap(s.regs) < n {
 		s.regs = make([]int64, n)
+	}
+	if cap(s.taints) < n {
 		s.taints = make([][]eg.EvID, n)
 	}
 	s.regs = s.regs[:n]

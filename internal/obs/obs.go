@@ -5,9 +5,9 @@
 // on the wire.
 //
 // The package defines *data*, not policy: core decides when a snapshot is
-// taken (at the quiescent points between exploration waves, where the
-// checkpointer already synchronizes), the service and CLIs decide where it
-// goes. Everything here is safe for concurrent use — timers are atomic,
+// taken (at a pause, with every exploration driver parked between two
+// states, where the checkpointer already synchronizes), the service and
+// CLIs decide where it goes. Everything here is safe for concurrent use — timers are atomic,
 // the tracer serializes writes — because exploration workers touch these
 // objects from many goroutines.
 package obs
@@ -39,14 +39,15 @@ type PhaseTimes struct {
 }
 
 // ProgressSnapshot is one race-free observation of a running exploration,
-// taken between waves with all workers quiescent. Counters are cumulative
+// taken at a pause with every exploration driver parked. Counters are cumulative
 // and monotone across the snapshots of one run; the final snapshot of a
 // run (Final set) reports exactly the stats of its Result.
 type ProgressSnapshot struct {
 	// Seq numbers the snapshots of one run from 1; the final snapshot has
 	// the highest Seq.
 	Seq int `json:"seq"`
-	// Wave counts completed drain waves (quiescent points reached).
+	// Wave counts the pauses served so far (checkpoint, progress or end),
+	// each with every driver parked between two states.
 	Wave int `json:"wave"`
 
 	Executions        int `json:"executions"`

@@ -11,7 +11,7 @@ import (
 // TraceEvent is one structured exploration event, written as a JSON line.
 // Kind selects which of the optional fields are meaningful:
 //
-//   - "wave":          Wave, Frontier — a drain wave completed
+//   - "wave":          Wave, Frontier — a pause was served (Frontier: the parked graphs)
 //   - "revisit-tried": Write, Read — a backward revisit was considered
 //   - "revisit-taken": Write, Read — the revisit passed repair + consistency
 //   - "prune":         Prune ("rf"|"co"|"scan"), Count — static pruning

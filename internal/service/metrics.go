@@ -90,7 +90,7 @@ type Metrics struct {
 
 // Histogram bucket bounds. Exec rates span toy litmus tests (tens/sec
 // under a deliberate deadline) to saturated exploration (hundreds of
-// thousands/sec); wave sizes are frontier widths between drains;
+// thousands/sec); wave sizes are the parked frontier widths at pauses;
 // consistency checks are microsecond-scale graph traversals.
 var (
 	execRateBounds = []float64{10, 100, 1e3, 1e4, 5e4, 1e5, 5e5, 1e6}

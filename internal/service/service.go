@@ -77,7 +77,7 @@ type Config struct {
 	// persisted verdict cache, so jobs a dead process left queued or
 	// running resume at the next start. Empty keeps everything in memory.
 	JournalDir string
-	// CheckpointEveryExecs is how often a running exploration drains into
+	// CheckpointEveryExecs is how often a running exploration pauses into
 	// a stored checkpoint, in executions (default
 	// core.DefaultCheckpointEvery; only meaningful with JournalDir): one
 	// checkpoint per that many executions, however often progress pauses
@@ -87,8 +87,8 @@ type Config struct {
 	// ProgressEvery is how often a running job publishes a progress
 	// snapshot — served live in job polls, the /progress long-poll and the
 	// histograms (default 1s; negative disables progress entirely).
-	// Snapshots ride the explorer's drain barrier, so the overhead is one
-	// wave pause per cadence (EXPERIMENTS.md T15 bounds it at <5%); a
+	// Snapshots ride the explorer's pause, so the overhead is one pause
+	// per cadence (EXPERIMENTS.md T15 bounds it at <5%); a
 	// progress pause writes no checkpoint.
 	ProgressEvery time.Duration
 	// Portfolio races every applicable backend (internal/backend) on each
@@ -762,7 +762,7 @@ func (s *Service) runJob(j *Job) {
 
 	// Live progress: each snapshot is published for polling, wakes the
 	// /progress long-pollers and feeds the histograms. The sink runs on the
-	// exploration goroutine between waves; s.mu is only ever held for
+	// exploration goroutine during a pause; s.mu is only ever held for
 	// job-transition bookkeeping (never while exploring), so taking it
 	// here cannot deadlock or stall other jobs.
 	var progOpts *core.ProgressOptions
